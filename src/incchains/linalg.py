@@ -9,6 +9,8 @@ Gauss elimination.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 __all__ = ["rank_int_exact", "rank_modp", "rank_dense_exact"]
@@ -55,62 +57,64 @@ def rank_int_exact(rows, ncols):
     """Rank over the rationals of a sparse integer matrix.
 
     ``rows`` is a list of {column: value} dicts.  Unit pivots are
-    eliminated first with Markowitz-style fill control; any remaining
-    block goes through dense fraction-free elimination.
+    eliminated first, shortest row first, each on its least-used unit
+    column to limit fill-in; any remaining block goes through dense
+    fraction-free elimination.  A heap keyed by row length finds the next
+    pivot row (entries left by rows changed since are skipped), and a
+    column index means a pivot touches only the rows holding its column.
     """
-    rows = [dict(r) for r in rows if r]
+    live = {}
+    col_rows = {}
+    for ri, r in enumerate(rows):
+        if r:
+            live[ri] = dict(r)
+            for c in r:
+                col_rows.setdefault(c, set()).add(ri)
+    version = dict.fromkeys(live, 0)
+    heap = [(len(r), ri, 0) for ri, r in live.items()]
+    heapq.heapify(heap)
     rank = 0
-    col_count = {}
-    for r in rows:
-        for c in r:
-            col_count[c] = col_count.get(c, 0) + 1
-    while rows:
-        best = None
-        best_score = None
-        for ri, r in enumerate(rows):
-            rlen = len(r)
-            for c, v in r.items():
-                if v == 1 or v == -1:
-                    score = (rlen - 1) * (col_count[c] - 1)
-                    if best_score is None or score < best_score:
-                        best = (ri, c)
-                        best_score = score
-                        if score == 0:
-                            break
-            if best_score == 0:
-                break
-        if best is None:
-            break
-        ri, c = best
-        pivot_row = rows.pop(ri)
+    while heap:
+        _, ri, ver = heapq.heappop(heap)
+        if version.get(ri) != ver:
+            continue  # pivoted, emptied or changed since this entry was pushed
+        pivot_row = live[ri]
+        units = [c for c, v in pivot_row.items() if v == 1 or v == -1]
+        if not units:
+            continue  # left for the dense block unless a later pivot changes it
+        c = min(units, key=lambda k: (len(col_rows[k]), k))
         pv = pivot_row[c]
+        del live[ri], version[ri]
         for col in pivot_row:
-            col_count[col] -= 1
+            col_rows[col].discard(ri)
         rank += 1
-        for r in rows:
-            f = r.get(c)
-            if f is None:
-                continue
-            scale = f * pv  # pv is +-1, so f / pv == f * pv
+        for ti in col_rows.pop(c):
+            r = live[ti]
+            scale = r[c] * pv  # pv is +-1, so r[c] / pv == r[c] * pv
             for col, v in pivot_row.items():
                 old = r.get(col)
                 if old is None:
                     r[col] = -scale * v
-                    col_count[col] += 1
+                    col_rows.setdefault(col, set()).add(ti)
                 else:
                     new = old - scale * v
                     if new:
                         r[col] = new
                     else:
                         del r[col]
-                        col_count[col] -= 1
-        rows = [r for r in rows if r]
-    if not rows:
+                        if col != c:
+                            col_rows[col].discard(ti)
+            if r:
+                version[ti] += 1
+                heapq.heappush(heap, (len(r), ti, version[ti]))
+            else:
+                del live[ti], version[ti]
+    if not live:
         return rank
-    cols = sorted({c for r in rows for c in r})
+    cols = sorted({c for r in live.values() for c in r})
     idx = {c: j for j, c in enumerate(cols)}
-    dense = [[0] * len(cols) for _ in rows]
-    for i, r in enumerate(rows):
+    dense = [[0] * len(cols) for _ in live]
+    for i, r in enumerate(live.values()):
         for c, v in r.items():
             dense[i][idx[c]] = v
     return rank + rank_dense_exact(dense)

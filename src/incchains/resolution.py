@@ -7,7 +7,11 @@ strictly divides ``a`` (restricted to generators dividing ``a``).  That
 complex is a union of full simplices, one per variable of ``a``, which
 permits strong homotopy-preserving reductions before any linear algebra:
 redundant covering constraints are dropped, dominated vertices are folded
-away, and cones are recognized outright.
+away, and cones are recognized outright.  By the nerve lemma the reduced
+core has the homology of its nerve, the constraint sets that leave some
+vertex uncovered, so homology is computed on whichever side, vertex or
+nerve, has the smaller face bound; the face cap counts the faces of that
+side.
 
 Generators in disjoint variables resolve independently: the table of a
 disjoint union is the convolution of the component tables, and projective
@@ -41,11 +45,19 @@ DEFAULT_GENERATOR_CAP = 24
 FACE_ENUMERATION_CAP = 1 << 14
 # Distinct lcms per variable-connected component before refusing.
 LATTICE_ELEMENT_CAP = 60000
+# Largest characteristic with p * p < 2**63: rank_modp multiplies residues
+# in int64, so a larger p would overflow and give wrong ranks silently.
+MAX_FIELD_CHAR = 3037000499
 
 
 def _check_char(field_char):
     if field_char == 0:
         return
+    if field_char > MAX_FIELD_CHAR:
+        raise ValueError(
+            f"field characteristic {field_char} exceeds the supported maximum "
+            f"{MAX_FIELD_CHAR} (the largest p with p*p < 2**63)"
+        )
     if field_char < 2 or any(field_char % p == 0 for p in range(2, int(field_char**0.5) + 1)):
         raise ValueError(f"field characteristic must be 0 or a prime, got {field_char}")
 
@@ -151,10 +163,19 @@ def _core(a, gens_dividing):
 
 
 def _faces_of_core(core):
-    """All faces (including the empty face) of a reduced core complex."""
+    """All faces (including the empty face) of a complex homotopy equivalent to the core.
+
+    The core is the union of the simplices V - c over its constraints c,
+    and all their intersections are simplices or empty, so by the nerve
+    lemma it is homotopy equivalent to the nerve of that cover: the
+    constraint-index sets S with union(S) != V.  Whichever side has the
+    smaller face bound is enumerated, and the face cap applies to it.
+    """
     verts, constraints = core
     vset = frozenset(verts)
     total = sum(1 << len(vset - c) for c in constraints)
+    if 1 << len(constraints) < total:
+        return _nerve_faces(verts, constraints)
     if total > FACE_ENUMERATION_CAP:
         raise CapacityError("reduced complex too large to enumerate")
     faces = set()
@@ -165,6 +186,31 @@ def _faces_of_core(core):
                 faces.add(combo)
     if not constraints:
         faces.add(())
+    return faces
+
+
+def _nerve_faces(verts, constraints):
+    """Constraint-index sets whose constraints leave some vertex uncovered.
+
+    Depth-first over a union bitmask: a branch stops as soon as its union
+    covers every vertex, since all its extensions cover them too.
+    """
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    masks = [sum(bit[v] for v in c) for c in constraints]
+    full = (1 << len(verts)) - 1
+    faces = [()]
+    stack = [((), 0, 0)]
+    while stack:
+        face, union, start = stack.pop()
+        for i in range(start, len(masks)):
+            u = union | masks[i]
+            if u == full:
+                continue
+            sub = face + (i,)
+            faces.append(sub)
+            if len(faces) > FACE_ENUMERATION_CAP:
+                raise CapacityError("reduced complex too large to enumerate")
+            stack.append((sub, u, i + 1))
     return faces
 
 

@@ -214,3 +214,18 @@ def brute_betti_table(ideal, char=0):
             if hom:
                 table[(d + 1, a)] = hom
     return table
+
+
+def brute_core_faces(core):
+    """Vertex-side faces of a reduced core, by enumerating every vertex subset.
+
+    A core (vertices, constraints) is the union of the simplices
+    vertices - c, so a vertex set is a face iff it misses some constraint.
+    """
+    verts, constraints = core
+    return [
+        face
+        for size in range(len(verts) + 1)
+        for face in itertools.combinations(verts, size)
+        if any(c.isdisjoint(face) for c in constraints)
+    ]

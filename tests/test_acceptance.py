@@ -90,6 +90,16 @@ def test_criterion_1_stretch_n8():
     _announce(1, f"stretch: pd = 12 at n = 8 ({elapsed:.1f}s)")
 
 
+@pytest.mark.stretch
+def test_criterion_1_stretch_n9():
+    spec = make_mixed_chain()
+    start = time.time()
+    assert pd_quotient(generate(spec, 9), field_char=0, gen_cap=40) == 14
+    elapsed = time.time() - start
+    assert elapsed < 3600
+    _announce(1, f"stretch: pd = 14 at n = 9 ({elapsed:.1f}s)")
+
+
 # -- criterion 2: worked-example equalities ---------------------------------
 
 

@@ -161,3 +161,11 @@ def test_char_flag(sample_file, capsys):
     assert main(["--char", "32003", "invariants", "--spec", sample_file, "--n", "4..5"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[1].split(",")[2] == "3"
+
+
+def test_char_above_int64_bound_exits_1(sample_file, capsys):
+    args = ["--char", "4294967311", "invariants", "--spec", sample_file, "--n", "4..5"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "3037000499" in captured.err

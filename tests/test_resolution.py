@@ -1,5 +1,9 @@
+import heapq
+import itertools
 import random
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,8 +22,18 @@ from incchains import (
     pd_taylor_oracle,
     variable,
 )
+from incchains import linalg
 from incchains.linalg import rank_dense_exact, rank_int_exact, rank_modp
-from oracles import brute_betti_table
+from incchains.resolution import (
+    _closure,
+    _components,
+    _core,
+    _faces_of_core,
+    _nerve_faces,
+    _reduced_betti,
+)
+from conftest import make_mixed_chain
+from oracles import brute_betti_table, brute_core_faces
 from randgen import random_chain, random_proper_ideal, rng_for
 
 
@@ -63,6 +77,49 @@ def test_rank_routines_agree_with_fraction_gauss():
         ]
         assert rank_int_exact(sparse, ncols) == expected
         assert rank_modp(dense, 32003) == expected
+
+
+def _sparse_matrix(rng, nrows, ncols, values):
+    """Sparse rows, about a fifth of them replaced by sums of two earlier rows."""
+    dense = [
+        [rng.choice(values) if rng.random() < 0.15 else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    for i in range(2, nrows):
+        if rng.random() < 0.2:
+            a, b = rng.sample(range(i), 2)
+            dense[i] = [x + y for x, y in zip(dense[a], dense[b])]
+    return dense
+
+
+def test_rank_int_exact_on_sparse_matrices_up_to_30(monkeypatch):
+    calls = {"dense": 0, "push": 0}
+
+    def counting_dense(matrix):
+        calls["dense"] += 1
+        return rank_dense_exact(matrix)
+
+    def counting_push(heap, item):
+        calls["push"] += 1
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(linalg, "rank_dense_exact", counting_dense)
+    monkeypatch.setattr(
+        linalg,
+        "heapq",
+        SimpleNamespace(heapify=heapq.heapify, heappop=heapq.heappop, heappush=counting_push),
+    )
+    rng = random.Random("sparse-ranks")
+    value_sets = ((1, -1), (1, -1, 1, -1, 2, -3), (2, -2, 3, 5))
+    for _ in range(120):
+        nrows = rng.randint(8, 30)
+        ncols = rng.randint(8, 30)
+        dense = _sparse_matrix(rng, nrows, ncols, rng.choice(value_sets))
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
+        assert rank_int_exact(sparse, ncols) == _rank_fraction_gauss(dense)
+    # rows changed after being queued, and non-unit blocks went dense
+    assert calls["push"] > 0
+    assert calls["dense"] > 0
 
 
 def test_lcm_lattice_examples():
@@ -281,3 +338,103 @@ def test_pd_gen_cap_refusal(mixed_chain):
         pd_quotient(ideal, gen_cap=24)
     with pytest.raises(CapacityError):
         betti(ideal, gen_cap=24)
+
+
+# -- nerve side of reduced cores ---------------------------------------------
+
+
+def _cores(ideal):
+    for comp in _components(ideal.gens):
+        for a in _closure(comp):
+            if not a.is_unit:
+                core = _core(a, tuple(g for g in comp if g.divides(a)))
+                if core is not None and core[1]:
+                    yield core
+
+
+def _vertex_bound(core):
+    verts, constraints = core
+    return sum(1 << (len(verts) - len(c)) for c in constraints)
+
+
+def test_nerve_side_homology_matches_vertex_side():
+    spec = make_mixed_chain()
+    cores = set()
+    for n in range(5, 9):
+        cores.update(_cores(generate(spec, n)))
+    for k in range(200):
+        rng = rng_for("nerve-vs-vertex", k)
+        if k % 2:
+            ideal = random_proper_ideal(rng, 1, 8, 10, 3, squarefree=True)
+        else:
+            ideal = random_proper_ideal(rng, 3, 4, 9, 4)
+        cores.update(_cores(ideal))
+    nerve_smaller = [c for c in cores if 1 << len(c[1]) < _vertex_bound(c)]
+    assert len(nerve_smaller) >= 25
+    assert max(len(c[0]) for c in nerve_smaller) >= 13
+    for core in sorted(cores, key=repr):
+        vertex_faces = brute_core_faces(core)
+        for char in (0, 2, 32003):
+            expected = _reduced_betti(vertex_faces, char)
+            assert _reduced_betti(_nerve_faces(*core), char) == expected, (core, char)
+            assert _reduced_betti(_faces_of_core(core), char) == expected, (core, char)
+
+
+def _subset_ideal(ngens, size):
+    """One variable per size-subset of the generators; generator i is the
+    product of the variables whose subset contains i."""
+    subsets = list(itertools.combinations(range(ngens), size))
+    gens = [
+        Monomial({(1, j + 1): 1 for j, s in enumerate(subsets) if i in s})
+        for i in range(ngens)
+    ]
+    return MonomialIdeal(1, len(subsets), gens)
+
+
+def test_vertex_side_kept_where_the_nerve_is_larger():
+    # the top core has 8 vertices and 70 constraints: 1,120 vertex-side
+    # faces at most, against 2^35 nerve faces avoiding any one vertex
+    ideal = _subset_ideal(8, 4)
+    assert pd_quotient(ideal) == 5
+    assert pd_quotient(ideal, field_char=32003) == 5
+    top = ideal.gens[0]
+    for g in ideal.gens[1:]:
+        top = top.lcm(g)
+    core = _core(top, ideal.gens)
+    assert (len(core[0]), len(core[1])) == (8, 70)
+    with pytest.raises(CapacityError, match="reduced complex too large to enumerate"):
+        _nerve_faces(*core)
+
+
+def test_face_cap_refuses_when_both_sides_are_large():
+    # 11 vertices and 55 constraints: vertex-side bound 55 * 2^9, nerve 2^55
+    with pytest.raises(CapacityError, match="^reduced complex too large to enumerate$"):
+        pd_quotient(_subset_ideal(11, 2))
+    # nerve side chosen (2^16 < 10 * 2^13 + 6 * 2^12) and still over the cap:
+    # 10 singletons and the 6 pairs of the remaining 4 vertices
+    constraints = [frozenset({v}) for v in range(10)]
+    constraints += [frozenset(p) for p in itertools.combinations(range(10, 14), 2)]
+    core = (tuple(range(14)), tuple(constraints))
+    assert 1 << len(constraints) < _vertex_bound(core)
+    with pytest.raises(CapacityError, match="^reduced complex too large to enumerate$"):
+        _faces_of_core(core)
+
+
+# -- field characteristics ----------------------------------------------------
+
+
+def test_characteristic_above_int64_bound_refused():
+    ideal = MonomialIdeal(1, 2, [variable(1, 1), variable(1, 2)])
+    with pytest.raises(ValueError, match="3037000499"):
+        pd_quotient(ideal, field_char=4294967311)
+    start = time.time()
+    with pytest.raises(ValueError, match="3037000499"):
+        betti(ideal, field_char=100000000000000003)  # an 18-digit prime
+    assert time.time() - start < 1
+    # the largest prime below the bound is accepted, and its ranks are right
+    p = 3037000493
+    assert pd_quotient(ideal, field_char=p) == 2
+    rng = random.Random("large-p")
+    for _ in range(60):
+        dense = _sparse_matrix(rng, 8, 8, (1, -1, 2, -3, 7))
+        assert rank_modp(dense, p) == _rank_fraction_gauss(dense)
