@@ -4,7 +4,7 @@
 # sparse exponent vector on grid positions; an ideal is stored through its
 # unique minimal generating set inside an explicit ambient width.
 
-from incchains import MonomialIdeal, minimalize, variable
+from incchains import MonomialIdeal, variable
 
 x = variable  # x(k, j, e) is the monomial x[k,j]^e
 
@@ -35,5 +35,5 @@ print("J + <x[1,1]> =", J + MonomialIdeal(3, 4, [x(1, 1)]))
 print("\ntop generator degree:", J.delta())
 print("q-invariant:", J.q_invariant())
 
-tiny = minimalize(1, 2, [x(1, 1), x(1, 2)])
+tiny = MonomialIdeal(1, 2, [x(1, 1), x(1, 2)])
 print("q of", tiny, "is", tiny.q_invariant(), "(only the constant survives)")

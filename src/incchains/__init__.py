@@ -16,7 +16,7 @@ from .errors import (
     UndefinedInvariantError,
     WidthError,
 )
-from .monomial import INFINITY, Monomial, MonomialIdeal, minimalize, variable
+from .monomial import INFINITY, Monomial, MonomialIdeal, variable
 from .primes import PrimeSupport, codim, codim_bruteforce, minimal_primes
 from .chains import (
     ChainSpec,
@@ -78,7 +78,6 @@ __all__ = [
     "INFINITY",
     "Monomial",
     "MonomialIdeal",
-    "minimalize",
     "variable",
     "PrimeSupport",
     "codim",

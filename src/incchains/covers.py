@@ -168,18 +168,6 @@ def _saturation_exponent(ideal, mono):
         d += 1
 
 
-def _e_ideal(spec, evector):
-    """The derived seed ideal at width seed_index + 1 for the given exponents."""
-    col = spec.index + 1
-    r1 = spec.seed_index + 1
-    base = generate(spec, r1)
-    divisor = Monomial({(k + 1, col): e for k, e in enumerate(evector) if e})
-    cols = MonomialIdeal(
-        spec.rows, r1, [Monomial({(k, col): 1}) for k in range(1, spec.rows + 1)]
-    )
-    return base.colon(divisor) + cols
-
-
 def e_set(spec):
     """Representative exponent tuples whose derived chain is proper.
 
@@ -198,7 +186,7 @@ def e_set(spec):
     seen = set()
     out = []
     for evector in itertools.product(*(range(c + 1) for c in caps)):
-        derived = _e_ideal(spec, evector)
+        derived = e_chain(spec, evector).seed
         if derived.is_unit:
             continue
         if derived in seen:

@@ -14,7 +14,6 @@ __all__ = [
     "INFINITY",
     "Monomial",
     "MonomialIdeal",
-    "minimalize",
     "variable",
 ]
 
@@ -394,6 +393,25 @@ class MonomialIdeal:
         return f"MonomialIdeal(rows={self.rows}, width={self.width}, gens={self})"
 
 
-def minimalize(rows, width, candidates):
-    """The ideal minimally generated by the divisibility-antichain of candidates."""
-    return MonomialIdeal(rows, width, candidates)
+def variable_components(supports):
+    """Indices of ``supports`` grouped into components under shared variables.
+
+    Each group is ascending and the groups come in order of their first
+    member.
+    """
+    parent = list(range(len(supports)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    first = {}
+    for i, support in enumerate(supports):
+        for v in support:
+            parent[find(i)] = find(first.setdefault(v, i))
+    groups = {}
+    for i in range(len(supports)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())

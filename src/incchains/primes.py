@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import CapacityError
-from .monomial import INFINITY
+from .monomial import INFINITY, variable_components
 
 __all__ = ["PrimeSupport", "minimal_primes", "codim", "codim_bruteforce"]
 
@@ -70,31 +70,6 @@ def minimal_primes(ideal, limit=None):
         return result
 
     return frozenset(solve(frozenset(_minimal_supports(ideal))))
-
-
-def _split_components(supports):
-    """Group supports into connected components under shared variables."""
-    supports = list(supports)
-    parent = list(range(len(supports)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    by_var = {}
-    for idx, s in enumerate(supports):
-        for v in s:
-            by_var.setdefault(v, []).append(idx)
-    for idxs in by_var.values():
-        root = find(idxs[0])
-        for other in idxs[1:]:
-            parent[find(other)] = root
-    comps = {}
-    for idx in range(len(supports)):
-        comps.setdefault(find(idx), []).append(supports[idx])
-    return list(comps.values())
 
 
 def _greedy_cover_size(supports):
@@ -162,7 +137,10 @@ def codim(ideal):
     if ideal.is_zero:
         return 0
     supports = _minimal_supports(ideal)
-    return sum(_min_hitting(comp) for comp in _split_components(supports))
+    return sum(
+        _min_hitting([supports[i] for i in group])
+        for group in variable_components(supports)
+    )
 
 
 def codim_bruteforce(ideal, max_variables=20):

@@ -25,8 +25,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError, UndefinedInvariantError
-from .linalg import rank_dense_exact, rank_int_exact, rank_modp
-from .monomial import Monomial
+from .linalg import rank_int_exact
+from .monomial import Monomial, variable_components
 
 __all__ = [
     "DEFAULT_GENERATOR_CAP",
@@ -45,8 +45,8 @@ DEFAULT_GENERATOR_CAP = 24
 FACE_ENUMERATION_CAP = 1 << 14
 # Distinct lcms per variable-connected component before refusing.
 LATTICE_ELEMENT_CAP = 60000
-# Largest characteristic with p * p < 2**63: rank_modp multiplies residues
-# in int64, so a larger p would overflow and give wrong ranks silently.
+# Largest characteristic accepted; it keeps the trial-division primality
+# check below about 55k divisions.
 MAX_FIELD_CHAR = 3037000499
 
 
@@ -231,20 +231,12 @@ def _reduced_betti(faces, char):
             ranks[d] = 0
             continue
         target = index[d - 1]
-        if char == 0:
-            rows = [dict() for _ in by_dim[d - 1]]
-            for j, f in enumerate(by_dim[d]):
-                for pos in range(len(f)):
-                    sub = f[:pos] + f[pos + 1 :]
-                    rows[target[sub]][j] = 1 if pos % 2 == 0 else -1
-            ranks[d] = rank_int_exact(rows, len(by_dim[d]))
-        else:
-            mat = [[0] * len(by_dim[d]) for _ in by_dim[d - 1]]
-            for j, f in enumerate(by_dim[d]):
-                for pos in range(len(f)):
-                    sub = f[:pos] + f[pos + 1 :]
-                    mat[target[sub]][j] = 1 if pos % 2 == 0 else -1
-            ranks[d] = rank_modp(mat, char)
+        rows = [dict() for _ in by_dim[d - 1]]
+        for j, f in enumerate(by_dim[d]):
+            for pos in range(len(f)):
+                sub = f[:pos] + f[pos + 1 :]
+                rows[target[sub]][j] = 1 if pos % 2 == 0 else -1
+        ranks[d] = rank_int_exact(rows, len(by_dim[d]), char)
     out = {}
     for d in dims:
         betti = len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
@@ -265,26 +257,8 @@ def _element_homology(a, gens_dividing, char):
 
 
 def _components(gens):
-    parent = list(range(len(gens)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    by_var = {}
-    for i, g in enumerate(gens):
-        for p in g.support():
-            by_var.setdefault(p, []).append(i)
-    for idxs in by_var.values():
-        root = find(idxs[0])
-        for other in idxs[1:]:
-            parent[find(other)] = root
-    comps = {}
-    for i in range(len(gens)):
-        comps.setdefault(find(i), []).append(gens[i])
-    return [tuple(c) for _, c in sorted(comps.items())]
+    groups = variable_components([g.support() for g in gens])
+    return [tuple(gens[i] for i in group) for group in groups]
 
 
 def _component_quotient_table(gens, char):
@@ -362,12 +336,15 @@ def betti(ideal, field_char=0, gen_cap=DEFAULT_GENERATOR_CAP):
 def _component_pd(gens, char):
     """Projective dimension of R modulo the component ideal, top degree only."""
     elements = sorted(
-        (a for a in _closure(gens) if not a.is_unit),
-        key=lambda a: -len([g for g in gens if g.divides(a)]),
+        (
+            (a, tuple(g for g in gens if g.divides(a)))
+            for a in _closure(gens)
+            if not a.is_unit
+        ),
+        key=lambda pair: -len(pair[1]),
     )
     best = 0
-    for a in elements:
-        dividing = tuple(g for g in gens if g.divides(a))
+    for a, dividing in elements:
         if len(dividing) <= best:
             break  # sorted by |G_a|, and p never exceeds |G_a|
         core = _core(a, dividing)
@@ -445,16 +422,13 @@ def pd_taylor_oracle(ideal, field_char=0, max_generators=10):
             if not lower:
                 ranks[p] = 0
                 continue
-            mat = [[0] * len(by_size[p]) for _ in lower]
+            rows = [dict() for _ in lower]
             for j, combo in enumerate(by_size[p]):
                 for pos in range(len(combo)):
                     sub = combo[:pos] + combo[pos + 1 :]
                     if lcms.get(sub) == a:
-                        mat[lower[sub]][j] = 1 if pos % 2 == 0 else -1
-            if field_char == 0:
-                ranks[p] = rank_dense_exact(mat)
-            else:
-                ranks[p] = rank_modp(mat, field_char)
+                        rows[lower[sub]][j] = 1 if pos % 2 == 0 else -1
+            ranks[p] = rank_int_exact(rows, len(by_size[p]), field_char)
         for p in sizes:
             n_p = len(by_size[p])
             hom = n_p - ranks.get(p, 0) - ranks.get(p + 1, 0)

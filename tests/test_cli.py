@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import incchains
 from incchains.cli import main
 
 SAMPLE = """\
@@ -169,3 +174,16 @@ def test_char_above_int64_bound_exits_1(sample_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "3037000499" in captured.err
+
+
+def test_import_leaves_numpy_unloaded():
+    src = str(Path(incchains.__file__).resolve().parents[1])
+    code = "import sys, incchains; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

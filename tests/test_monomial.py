@@ -9,7 +9,6 @@ from incchains import (
     RowError,
     UndefinedInvariantError,
     WidthError,
-    minimalize,
     variable,
 )
 from conftest import make_mixed_chain
@@ -94,10 +93,10 @@ def test_gcd_division(u, v):
 
 def test_minimalize_examples():
     a = variable(1, 1)
-    assert minimalize(1, 2, [a, a * variable(1, 2)]).gens == (a,)
-    zero = minimalize(2, 3, [])
+    assert MonomialIdeal(1, 2, [a, a * variable(1, 2)]).gens == (a,)
+    zero = MonomialIdeal(2, 3, [])
     assert zero.is_zero and not zero.is_unit
-    unit = minimalize(1, 1, [Monomial(), variable(1, 1)])
+    unit = MonomialIdeal(1, 1, [Monomial(), variable(1, 1)])
     assert unit.is_unit
 
 

@@ -23,7 +23,7 @@ from incchains import (
     variable,
 )
 from incchains import linalg
-from incchains.linalg import rank_dense_exact, rank_int_exact, rank_modp
+from incchains.linalg import rank_int_exact
 from incchains.resolution import (
     _closure,
     _components,
@@ -62,6 +62,25 @@ def _rank_fraction_gauss(matrix):
     return rank
 
 
+def _rank_gauss_modp(matrix, p):
+    """Rank over F_p by dense Gauss-Jordan on residues."""
+    m = [[v % p for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], p - 2, p)
+        m[rank] = [v * inv % p for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 def test_rank_routines_agree_with_fraction_gauss():
     rng = random.Random("ranks")
     for _ in range(80):
@@ -71,12 +90,11 @@ def test_rank_routines_agree_with_fraction_gauss():
             [rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)
         ]
         expected = _rank_fraction_gauss(dense)
-        assert rank_dense_exact(dense) == expected
         sparse = [
             {j: v for j, v in enumerate(row) if v} for row in dense
         ]
         assert rank_int_exact(sparse, ncols) == expected
-        assert rank_modp(dense, 32003) == expected
+        assert rank_int_exact(sparse, ncols, 32003) == expected
 
 
 def _sparse_matrix(rng, nrows, ncols, values):
@@ -93,17 +111,13 @@ def _sparse_matrix(rng, nrows, ncols, values):
 
 
 def test_rank_int_exact_on_sparse_matrices_up_to_30(monkeypatch):
-    calls = {"dense": 0, "push": 0}
-
-    def counting_dense(matrix):
-        calls["dense"] += 1
-        return rank_dense_exact(matrix)
+    calls = {"push": 0}
+    non_unit = 0
 
     def counting_push(heap, item):
         calls["push"] += 1
         heapq.heappush(heap, item)
 
-    monkeypatch.setattr(linalg, "rank_dense_exact", counting_dense)
     monkeypatch.setattr(
         linalg,
         "heapq",
@@ -116,10 +130,31 @@ def test_rank_int_exact_on_sparse_matrices_up_to_30(monkeypatch):
         ncols = rng.randint(8, 30)
         dense = _sparse_matrix(rng, nrows, ncols, rng.choice(value_sets))
         sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
-        assert rank_int_exact(sparse, ncols) == _rank_fraction_gauss(dense)
-    # rows changed after being queued, and non-unit blocks went dense
+        expected = _rank_fraction_gauss(dense)
+        assert rank_int_exact(sparse, ncols) == expected
+        if expected and not any(v in (1, -1) for row in dense for v in row):
+            non_unit += 1  # only the non-unit pivot step can eliminate these
+    # rows changed after being queued, and non-unit pivots were taken
     assert calls["push"] > 0
-    assert calls["dense"] > 0
+    assert non_unit > 0
+
+
+def test_prime_field_ranks_match_dense_gauss_mod_p():
+    rng = random.Random("modp-ranks")
+    dropped = {2: 0, 3: 0}
+    for _ in range(150):
+        nrows = rng.randint(1, 12)
+        ncols = rng.randint(1, 12)
+        dense = _sparse_matrix(rng, nrows, ncols, (1, -1, 2, 3, -3, 6))
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
+        rational = _rank_fraction_gauss(dense)
+        for p in (2, 3, 32003, 3037000493):
+            expected = _rank_gauss_modp(dense, p)
+            assert rank_int_exact(sparse, ncols, p) == expected, (dense, p)
+            if p in dropped and expected < rational:
+                dropped[p] += 1
+    # a routine that ignored the characteristic would miss these
+    assert dropped[2] > 0 and dropped[3] > 0
 
 
 def test_lcm_lattice_examples():
@@ -437,4 +472,5 @@ def test_characteristic_above_int64_bound_refused():
     rng = random.Random("large-p")
     for _ in range(60):
         dense = _sparse_matrix(rng, 8, 8, (1, -1, 2, -3, 7))
-        assert rank_modp(dense, p) == _rank_fraction_gauss(dense)
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
+        assert rank_int_exact(sparse, 8, p) == _rank_fraction_gauss(dense)
