@@ -41,6 +41,24 @@ SCHEMA_VERSION = 1
 CONCLUSIVE_STEPS = 3
 
 
+def plain(value):
+    """A JSON-ready copy of ``value``: INFINITY as "inf", sets sorted, tuples
+    as lists, dict keys as strings.
+
+    Lists are left as they are, so the text form of a list of pairs (such
+    as ``exact_rows``) keeps printing its pairs as tuples.
+    """
+    if value is INFINITY:
+        return "inf"
+    if isinstance(value, (frozenset, set)):
+        return sorted(plain(x) for x in value)
+    if isinstance(value, tuple):
+        return [plain(x) for x in value]
+    if isinstance(value, dict):
+        return {str(k): plain(x) for k, x in value.items()}
+    return value
+
+
 def _chain_meta(spec):
     return {
         "rows": spec.rows,
@@ -113,8 +131,8 @@ class InvariantTable:
             "rows_by_n": [
                 {
                     "n": r.n,
-                    "codim": str(r.codim) if r.codim is INFINITY else r.codim,
-                    "gamma": str(r.gamma) if r.gamma is INFINITY else r.gamma,
+                    "codim": plain(r.codim),
+                    "gamma": plain(r.gamma),
                     "pdExact": r.pd_exact,
                     "pdLower": r.pd_lower,
                     "pdUpper": r.pd_upper,
@@ -222,17 +240,6 @@ class CheckReport:
     details: dict
 
     def as_dict(self):
-        def plain(v):
-            if v is INFINITY:
-                return "inf"
-            if isinstance(v, (frozenset, set)):
-                return sorted(plain(x) for x in v)
-            if isinstance(v, tuple):
-                return [plain(x) for x in v]
-            if isinstance(v, dict):
-                return {str(k): plain(x) for k, x in v.items()}
-            return v
-
         return {
             "schemaVersion": SCHEMA_VERSION,
             "check": self.check,

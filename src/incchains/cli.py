@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands take a chain description file (see chainfile) and dispatch to
-the library.  Exit codes: 0 for PASS/success, 2 for FAIL (including a
-found Cohen-Macaulayness obstruction), 3 for INCONCLUSIVE, 1 for usage or
-parse errors.
+the library.  Every command prints either text (the default) or, with
+--format json, one JSON object carrying schemaVersion.  Exit codes: 0 for
+PASS/success, 2 for FAIL (including a found Cohen-Macaulayness
+obstruction), 3 for INCONCLUSIVE, 1 for usage or parse errors.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .asymptotics import (
     cm_obstruction,
     fit_linear,
     invariant_table,
+    plain,
     verify_codim_theorem,
     verify_c1_dichotomy,
     verify_pd_bounds,
@@ -58,202 +60,138 @@ def _range(text):
     return (n, n)
 
 
-def _load(path, args):
-    with open(path, "r", encoding="utf-8") as fh:
+def _load(args):
+    """Parse the chain file; its header options fill the flags left unset."""
+    with open(args.spec, "r", encoding="utf-8") as fh:
         doc = parse_chain_document(fh.read())
     for warning in doc.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    spec = doc.to_spec()
-    char = args.char if args.char is not None else doc.options.get("char", 0)
-    gen_cap = (
-        args.gen_cap
-        if args.gen_cap is not None
-        else doc.options.get("gen_cap", DEFAULT_GENERATOR_CAP)
-    )
-    depth_cap = (
-        args.depth
-        if getattr(args, "depth", None) is not None
-        else doc.options.get("depth_cap")
-    )
-    return spec, char, gen_cap, depth_cap
+    if args.char is None:
+        args.char = doc.options.get("char", 0)
+    if args.gen_cap is None:
+        args.gen_cap = doc.options.get("gen_cap", DEFAULT_GENERATOR_CAP)
+    if getattr(args, "depth", None) is None:
+        args.depth = doc.options.get("depth_cap")
+    return doc.to_spec()
 
 
-def _emit_json(payload):
-    print(json.dumps(payload, sort_keys=True, indent=2))
+# Each command returns (JSON payload, text lines, exit code); main prints one.
 
 
-def _cmd_gen(args):
-    spec, _, _, _ = _load(args.spec, args)
-    ideal = generate(spec, args.n)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schemaVersion": SCHEMA_VERSION,
-                "n": args.n,
-                "generators": [str(g) for g in ideal.gens],
-            }
-        )
-    else:
-        for g in ideal.gens:
-            print(g)
-    return EXIT_OK
+def _cmd_gen(spec, args):
+    gens = [str(g) for g in generate(spec, args.n).gens]
+    return {"n": args.n, "generators": gens}, gens, EXIT_OK
 
 
-def _cmd_invariants(args):
-    spec, char, gen_cap, _ = _load(args.spec, args)
-    lo, hi = args.n
-    table = invariant_table(spec, lo, hi, field_char=char, gen_cap=gen_cap)
-    if args.format == "json":
-        _emit_json(table.as_dict())
-    else:
-        sys.stdout.write(table.to_csv())
-    return EXIT_OK
+def _cmd_invariants(spec, args):
+    table = invariant_table(spec, *args.n, field_char=args.char, gen_cap=args.gen_cap)
+    return table.as_dict(), table.to_csv().splitlines(), EXIT_OK
 
 
-def _cmd_fit(args):
-    spec, char, gen_cap, _ = _load(args.spec, args)
-    lo, hi = args.n
-    table = invariant_table(spec, lo, hi, field_char=char, gen_cap=gen_cap)
+def _cmd_fit(spec, args):
+    table = invariant_table(spec, *args.n, field_char=args.char, gen_cap=args.gen_cap)
     if args.column == "codim":
         points = [(n, v) for n, v in table.column("codim") if v is not INFINITY]
     else:
         points = [(n, v) for n, v in table.column("pd_exact") if v is not None]
-    fit = fit_linear(points) if len(points) >= 2 else None
-    payload = {
-        "schemaVersion": SCHEMA_VERSION,
-        "column": args.column,
-        "points": points,
+    fit = fit_linear(points)
+    payload = {"column": args.column, "points": points, "fit": None}
+    if fit.degenerate:
+        return payload, ["no usable fit (fewer than two finite points)"], EXIT_OK
+    payload["fit"] = {
+        "slope": fit.slope,
+        "intercept": fit.intercept,
+        "onset": fit.onset,
+        "steps": fit.steps,
+        "conclusive": fit.conclusive,
     }
-    if fit is None or fit.degenerate:
-        payload["fit"] = None
-    else:
-        payload["fit"] = {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "onset": fit.onset,
-            "steps": fit.steps,
-            "conclusive": fit.conclusive,
-        }
-    if args.format == "json":
-        _emit_json(payload)
-    elif fit is None or fit.degenerate:
-        print("no usable fit (fewer than two finite points)")
-    else:
-        print(
-            f"{args.column}: slope {fit.slope}, intercept {fit.intercept}, "
-            f"onset {fit.onset}, steps {fit.steps}, "
-            f"{'conclusive' if fit.conclusive else 'not conclusive'}"
-        )
-    return EXIT_OK
+    text = (
+        f"{args.column}: slope {fit.slope}, intercept {fit.intercept}, "
+        f"onset {fit.onset}, steps {fit.steps}, "
+        f"{'conclusive' if fit.conclusive else 'not conclusive'}"
+    )
+    return payload, [text], EXIT_OK
 
 
-def _cmd_verify(args):
-    spec, char, gen_cap, depth_cap = _load(args.spec, args)
+def _cmd_verify(spec, args):
     lo, hi = args.n
     if args.theorem == "codim":
         report = verify_codim_theorem(spec, lo, hi)
     elif args.theorem == "pd-bounds":
         report = verify_pd_bounds(
-            spec, lo, hi, depth_cap=depth_cap, field_char=char, gen_cap=gen_cap
+            spec, lo, hi, depth_cap=args.depth, field_char=args.char, gen_cap=args.gen_cap
         )
     elif args.theorem == "cm":
-        report = cm_obstruction(spec, depth_cap=depth_cap)
+        report = cm_obstruction(spec, depth_cap=args.depth)
     else:
-        if spec.rows != 1:
-            print("error: the c1 check needs a one-row chain", file=sys.stderr)
-            return EXIT_USAGE
-        report = verify_c1_dichotomy(spec, lo, hi, field_char=char, gen_cap=gen_cap)
-    if args.format == "json":
-        _emit_json(report.as_dict())
-    else:
-        print(f"{report.check}: {report.verdict}")
-        for key, value in sorted(report.as_dict()["details"].items()):
-            print(f"  {key}: {value}")
-    return _VERDICT_EXITS[report.verdict]
+        report = verify_c1_dichotomy(
+            spec, lo, hi, field_char=args.char, gen_cap=args.gen_cap
+        )
+    payload = report.as_dict()
+    lines = [f"{report.check}: {report.verdict}"]
+    lines += [f"  {key}: {value}" for key, value in sorted(payload["details"].items())]
+    return payload, lines, _VERDICT_EXITS[report.verdict]
 
 
-def _cmd_gamma(args):
-    spec, _, _, depth_cap = _load(args.spec, args)
+def _cmd_gamma(spec, args):
     if args.big:
-        limit = gamma_limit(spec, depth_cap)
-        payload = {
-            "schemaVersion": SCHEMA_VERSION,
-            "gamma_limit": limit.value,
-            "stabilized": limit.stabilized,
-            "depth": limit.depth,
-            "levels": list(limit.level_values),
-            "witness_path": [list(e) for e in limit.witness_path],
-        }
-        if args.format == "json":
-            _emit_json(payload)
-        else:
-            print(
-                f"gamma limit (depth {limit.depth}): {limit.value}"
-                f" ({'stabilized' if limit.stabilized else 'not stabilized'})"
-            )
-            print(f"  level maxima: {list(limit.level_values)}")
-            print(f"  witness path: {[list(e) for e in limit.witness_path]}")
-        return EXIT_OK
+        limit = gamma_limit(spec, args.depth)
+        payload = plain(
+            {
+                "gamma_limit": limit.value,
+                "stabilized": limit.stabilized,
+                "depth": limit.depth,
+                "levels": limit.level_values,
+                "witness_path": limit.witness_path,
+            }
+        )
+        lines = [
+            f"gamma limit (depth {limit.depth}): {limit.value}"
+            f" ({'stabilized' if limit.stabilized else 'not stabilized'})",
+            f"  level maxima: {payload['levels']}",
+            f"  witness path: {payload['witness_path']}",
+        ]
+        return payload, lines, EXIT_OK
     report = gamma_chain(spec)
-    payload = {
-        "schemaVersion": SCHEMA_VERSION,
-        "gamma": "inf" if report.gamma is INFINITY else report.gamma,
-        "witness": sorted(report.witness_cover) if report.witness_cover is not None else None,
-        "cover_family": sorted(sorted(c) for c in report.cover_family)
-        if report.cover_family is not None
-        else None,
-        "route": report.route,
-    }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(f"gamma: {payload['gamma']}")
-        print(f"  witness cover: {payload['witness']}")
-        if payload["cover_family"] is not None:
-            print(f"  cover family: {payload['cover_family']}")
-    return EXIT_OK
+    payload = plain(
+        {
+            "gamma": report.gamma,
+            "witness": report.witness_cover,
+            "cover_family": report.cover_family,
+            "route": report.route,
+        }
+    )
+    lines = [f"gamma: {payload['gamma']}", f"  witness cover: {payload['witness']}"]
+    if payload["cover_family"] is not None:
+        lines.append(f"  cover family: {payload['cover_family']}")
+    return payload, lines, EXIT_OK
 
 
-def _cmd_oracle(args):
-    spec, char, gen_cap, _ = _load(args.spec, args)
-    n = args.n[0]
-    ideal = generate(spec, n)
-    checks = []
-
-    def record(name, outcome):
-        checks.append((name, outcome))
-
+def _cmd_oracle(spec, args):
+    ideal = generate(spec, args.n)
+    checks = {}
     try:
-        fast = codim(ideal)
-        brute = codim_bruteforce(ideal)
-        record("codim-vs-bruteforce", "PASS" if fast == brute else "FAIL")
+        same = codim(ideal) == codim_bruteforce(ideal)
+        checks["codim-vs-bruteforce"] = "PASS" if same else "FAIL"
     except CapacityError:
-        record("codim-vs-bruteforce", "SKIP (too many variables)")
-    if n >= spec.seed_index:
-        ok = verify_stability(spec, n)
-        record("stability-step", "PASS" if ok else "FAIL")
+        checks["codim-vs-bruteforce"] = "SKIP (too many variables)"
+    if args.n >= spec.seed_index:
+        ok = verify_stability(spec, args.n)
+        checks["stability-step"] = "PASS" if ok else "FAIL"
     else:
-        record("stability-step", "SKIP (below seed index)")
+        checks["stability-step"] = "SKIP (below seed index)"
     if not ideal.is_zero and not ideal.is_unit:
         try:
-            engine = pd_quotient(ideal, field_char=char, gen_cap=gen_cap)
-            oracle = pd_taylor_oracle(ideal, field_char=char)
-            record("pd-vs-taylor", "PASS" if engine == oracle else "FAIL")
+            engine = pd_quotient(ideal, field_char=args.char, gen_cap=args.gen_cap)
+            oracle = pd_taylor_oracle(ideal, field_char=args.char)
+            checks["pd-vs-taylor"] = "PASS" if engine == oracle else "FAIL"
         except CapacityError:
-            record("pd-vs-taylor", "SKIP (beyond oracle guard)")
+            checks["pd-vs-taylor"] = "SKIP (beyond oracle guard)"
     else:
-        record("pd-vs-taylor", "SKIP (zero or unit ideal)")
-    payload = {
-        "schemaVersion": SCHEMA_VERSION,
-        "n": n,
-        "checks": {name: outcome for name, outcome in checks},
-    }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        for name, outcome in checks:
-            print(f"{name}: {outcome}")
-    return EXIT_FAIL if any(o == "FAIL" for _, o in checks) else EXIT_OK
+        checks["pd-vs-taylor"] = "SKIP (zero or unit ideal)"
+    lines = [f"{name}: {outcome}" for name, outcome in checks.items()]
+    code = EXIT_FAIL if "FAIL" in checks.values() else EXIT_OK
+    return {"n": args.n, "checks": checks}, lines, code
 
 
 def _build_parser():
@@ -296,7 +234,7 @@ def _build_parser():
 
     p = sub.add_parser("oracle", help="run brute-force cross-checks at one width")
     p.add_argument("--spec", required=True)
-    p.add_argument("--n", type=_range, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=_cmd_oracle)
     return parser
 
@@ -308,16 +246,20 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        return args.fn(args)
+        payload, lines, code = args.fn(_load(args), args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.format == "json":
+        payload = {**payload, "schemaVersion": SCHEMA_VERSION}
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

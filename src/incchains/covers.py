@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError, UndefinedInvariantError
-from .monomial import INFINITY, Monomial, MonomialIdeal
+from .monomial import INFINITY, Monomial, MonomialIdeal, inclusion_minimal
 from .chains import chain_colon, e_chain, generate
 from .primes import minimal_primes
 
@@ -99,11 +99,7 @@ class GammaReport:
         """Inclusion-minimal members of the cover family (exactly the minimal covers)."""
         if self.cover_family is None:
             return None
-        kept = []
-        for c in sorted(self.cover_family, key=lambda s: (len(s), tuple(sorted(s)))):
-            if not any(k < c for k in kept):
-                kept.append(c)
-        return frozenset(kept)
+        return frozenset(inclusion_minimal(self.cover_family))
 
 
 def _covers_all(rows_chosen, high_gens):

@@ -393,6 +393,15 @@ class MonomialIdeal:
         return f"MonomialIdeal(rows={self.rows}, width={self.width}, gens={self})"
 
 
+def inclusion_minimal(sets):
+    """Inclusion-minimal members of a collection of distinct sets, shortest first."""
+    kept = []
+    for s in sorted(sets, key=len):
+        if not any(t < s for t in kept):
+            kept.append(s)
+    return kept
+
+
 def variable_components(supports):
     """Indices of ``supports`` grouped into components under shared variables.
 

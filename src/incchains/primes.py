@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import CapacityError
-from .monomial import INFINITY, variable_components
+from .monomial import INFINITY, inclusion_minimal, variable_components
 
 __all__ = ["PrimeSupport", "minimal_primes", "codim", "codim_bruteforce"]
 
@@ -22,21 +22,7 @@ PrimeSupport = frozenset
 
 def _minimal_supports(ideal):
     """Inclusion-minimal distinct generator supports (the radical's supports)."""
-    supports = sorted({frozenset(g.support()) for g in ideal.gens}, key=len)
-    kept = []
-    for s in supports:
-        if not any(t <= s for t in kept):
-            kept.append(s)
-    return kept
-
-
-def _inclusion_minimal(sets):
-    ordered = sorted(sets, key=len)
-    kept = []
-    for s in ordered:
-        if not any(t < s for t in kept):
-            kept.append(s)
-    return kept
+    return inclusion_minimal({frozenset(g.support()) for g in ideal.gens})
 
 
 def minimal_primes(ideal, limit=None):
@@ -63,7 +49,7 @@ def minimal_primes(ideal, limit=None):
             rest = frozenset(s for s in supps if v not in s)
             for t in solve(rest):
                 found.add(t | {v})
-        result = _inclusion_minimal(found)
+        result = inclusion_minimal(found)
         if limit is not None and len(result) > limit:
             raise CapacityError(f"more than {limit} minimal primes")
         memo[supps] = result

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, UndefinedInvariantError
 from .linalg import rank_int_exact
-from .monomial import Monomial, variable_components
+from .monomial import Monomial, inclusion_minimal, variable_components
 
 __all__ = [
     "DEFAULT_GENERATOR_CAP",
@@ -48,6 +48,13 @@ LATTICE_ELEMENT_CAP = 60000
 # Largest characteristic accepted; it keeps the trial-division primality
 # check below about 55k divisions.
 MAX_FIELD_CHAR = 3037000499
+
+
+def _check_gen_cap(ideal, gen_cap):
+    if len(ideal.gens) > gen_cap:
+        raise CapacityError(
+            f"{len(ideal.gens)} generators exceed the exact-engine cap {gen_cap}"
+        )
 
 
 def _check_char(field_char):
@@ -92,10 +99,7 @@ def lcm_lattice(ideal, gen_cap=DEFAULT_GENERATOR_CAP):
     """The lcm lattice of a proper nonzero monomial ideal."""
     if ideal.is_zero or ideal.is_unit:
         raise UndefinedInvariantError("lcm lattice needs a proper nonzero ideal")
-    if len(ideal.gens) > gen_cap:
-        raise CapacityError(
-            f"{len(ideal.gens)} generators exceed the exact-engine cap {gen_cap}"
-        )
+    _check_gen_cap(ideal, gen_cap)
     elems = sorted(_closure(ideal.gens), key=lambda m: m.sort_key())
     dividing = {a: tuple(g for g in ideal.gens if g.divides(a)) for a in elems}
     return LcmLattice(elements=tuple(elems), dividing_generators=dividing)
@@ -112,16 +116,17 @@ def _core(a, gens_dividing):
     surviving generator, and its faces are the vertex sets missing at
     least one constraint entirely.
     """
-    coords = [p for p, _ in a.entries]
+    # g divides a, so the support of g lies inside the support of a
+    top = dict(a.entries)
     achieved = []
     for g in gens_dividing:
-        s = frozenset(p for p in coords if g.exponent(p) == a.exponent(p))
+        s = frozenset(p for p, e in g.entries if top[p] == e)
         if not s:
             return None  # the vertex lies in every maximal face: a cone
         achieved.append(s)
     nverts = len(gens_dividing)
     verts = set(range(nverts))
-    constraints = {frozenset(v for v in verts if p in achieved[v]) for p in coords}
+    constraints = {frozenset(v for v in verts if p in achieved[v]) for p in top}
 
     while True:
         # constraints restricted to live vertices, kept inclusion-minimal
@@ -129,10 +134,7 @@ def _core(a, gens_dividing):
         if any(not c for c in trimmed):
             # some variable no longer coverable: every vertex set is a face
             return None if verts else ((), ())
-        cons = []
-        for c in sorted(trimmed, key=lambda c: (len(c), tuple(sorted(c)))):
-            if not any(k <= c for k in cons):
-                cons.append(c)
+        cons = inclusion_minimal(trimmed)
         changed = len(cons) != len(constraints)
         constraints = set(cons)
 
@@ -169,7 +171,10 @@ def _faces_of_core(core):
     and all their intersections are simplices or empty, so by the nerve
     lemma it is homotopy equivalent to the nerve of that cover: the
     constraint-index sets S with union(S) != V.  Whichever side has the
-    smaller face bound is enumerated, and the face cap applies to it.
+    smaller face bound is enumerated, and the face cap applies to it.  The
+    vertex side is the same enumeration on the dual relation (Dowker 1952):
+    a vertex set is a face iff the constraints holding its vertices do not
+    cover every constraint; its faces are tuples of vertex positions.
     """
     verts, constraints = core
     vset = frozenset(verts)
@@ -178,15 +183,8 @@ def _faces_of_core(core):
         return _nerve_faces(verts, constraints)
     if total > FACE_ENUMERATION_CAP:
         raise CapacityError("reduced complex too large to enumerate")
-    faces = set()
-    for c in constraints:
-        free = sorted(vset - c)
-        for size in range(len(free) + 1):
-            for combo in itertools.combinations(free, size):
-                faces.add(combo)
-    if not constraints:
-        faces.add(())
-    return faces
+    members = [frozenset(i for i, c in enumerate(constraints) if v in c) for v in verts]
+    return _nerve_faces(range(len(constraints)), members)
 
 
 def _nerve_faces(verts, constraints):
@@ -245,14 +243,6 @@ def _reduced_betti(faces, char):
     return out
 
 
-def _element_homology(a, gens_dividing, char):
-    """Reduced homology ranks of the strict-divisor complex at ``a``."""
-    core = _core(a, gens_dividing)
-    if core is None:
-        return {}
-    return _reduced_betti(_faces_of_core(core), char)
-
-
 # -- components and assembly -------------------------------------------------
 
 
@@ -267,8 +257,10 @@ def _component_quotient_table(gens, char):
     for a in _closure(gens):
         if a.is_unit:
             continue
-        dividing = tuple(g for g in gens if g.divides(a))
-        for dim, rank in _element_homology(a, dividing, char).items():
+        core = _core(a, tuple(g for g in gens if g.divides(a)))
+        if core is None:
+            continue
+        for dim, rank in _reduced_betti(_faces_of_core(core), char).items():
             table[(dim + 2, a)] = rank
     return table
 
@@ -317,10 +309,7 @@ def betti(ideal, field_char=0, gen_cap=DEFAULT_GENERATOR_CAP):
     _check_char(field_char)
     if ideal.is_zero:
         return BettiTable(entries=(), field_char=field_char)
-    if len(ideal.gens) > gen_cap:
-        raise CapacityError(
-            f"{len(ideal.gens)} generators exceed the exact-engine cap {gen_cap}"
-        )
+    _check_gen_cap(ideal, gen_cap)
     full = {(0, Monomial()): 1}
     for comp in _components(ideal.gens):
         full = _convolve(full, _component_quotient_table(comp, field_char))
@@ -367,10 +356,7 @@ def pd_quotient(ideal, field_char=0, gen_cap=DEFAULT_GENERATOR_CAP):
     _check_char(field_char)
     if ideal.is_zero:
         return 0
-    if len(ideal.gens) > gen_cap:
-        raise CapacityError(
-            f"{len(ideal.gens)} generators exceed the exact-engine cap {gen_cap}"
-        )
+    _check_gen_cap(ideal, gen_cap)
     return sum(_component_pd(comp, field_char) for comp in _components(ideal.gens))
 
 

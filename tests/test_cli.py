@@ -9,6 +9,11 @@ import pytest
 import incchains
 from incchains.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
+# stdout and exit code of the README commands plus two pd commands, in both
+# formats and both fields, recorded before the CLI's output path was merged
+GOLDEN = json.loads((ROOT / "tests" / "cli_golden.json").read_text())
+
 SAMPLE = """\
 c = 3
 i = 1
@@ -143,6 +148,20 @@ def test_verify_pd_bounds_command(sample_file, capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "pd-bounds: PASS" in out
+
+
+def test_oracle_takes_one_width(sample_file, capsys):
+    assert main(["oracle", "--spec", sample_file, "--n", "4..7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid int value: '4..7'" in captured.err
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_cli_output_matches_golden(case, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(case["argv"]) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
