@@ -19,7 +19,7 @@ from .chains import generate, verify_stability
 from .chainfile import parse_chain_document
 from .covers import gamma_chain, gamma_limit
 from .primes import codim, codim_bruteforce
-from .resolution import DEFAULT_GENERATOR_CAP, pd_quotient, pd_taylor_oracle
+from .resolution import DEFAULT_GENERATOR_CAP, _check_char, pd_quotient, pd_taylor_oracle
 from .asymptotics import (
     SCHEMA_VERSION,
     cm_obstruction,
@@ -89,10 +89,16 @@ def _cmd_invariants(spec, args):
 
 
 def _cmd_fit(spec, args):
-    table = invariant_table(spec, *args.n, field_char=args.char, gen_cap=args.gen_cap)
+    lo, hi = args.n
     if args.column == "codim":
-        points = [(n, v) for n, v in table.column("codim") if v is not INFINITY]
+        # codim alone needs no pd; the range and field are checked as for pd
+        if lo > hi:
+            raise ValueError("empty width range")
+        values = [(n, codim(generate(spec, n))) for n in range(lo, hi + 1)]
+        _check_char(args.char)
+        points = [(n, v) for n, v in values if v is not INFINITY]
     else:
+        table = invariant_table(spec, lo, hi, field_char=args.char, gen_cap=args.gen_cap)
         points = [(n, v) for n, v in table.column("pd_exact") if v is not None]
     fit = fit_linear(points)
     payload = {"column": args.column, "points": points, "fit": None}

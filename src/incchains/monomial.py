@@ -262,11 +262,16 @@ class MonomialIdeal:
         if _one() in unique:
             self.gens = (_one(),)
         else:
-            ordered = sorted(unique, key=Monomial.sort_key)
+            # a divisor's first position lies in the candidate's support, so
+            # kept generators are bucketed by it and only those buckets scanned
             kept = []
-            for m in ordered:
-                if not any(g.divides(m) for g in kept):
+            by_first = {}
+            for m in sorted(unique, key=Monomial.sort_key):
+                if not any(
+                    g.divides(m) for p, _ in m.entries for g in by_first.get(p, ())
+                ):
                     kept.append(m)
+                    by_first.setdefault(m.entries[0][0], []).append(m)
             self.gens = tuple(kept)
         self._hash = hash((self.rows, self.width, self.gens))
 

@@ -73,13 +73,39 @@ def _greedy_cover_size(supports):
 
 
 def _packing_bound(supports):
-    """Number of pairwise disjoint supports: a lower bound for the hitting number."""
+    """A lower bound for the hitting number from cliques and disjoint supports.
+
+    Greedy over supports, shortest first: a support disjoint from those
+    already taken needs one of its own variables in any hitting set.  A
+    taken edge {u, v} (a support of size 2) is grown into a clique of the
+    graph the size-2 supports form, adding unused common neighbours in
+    sorted order.  Every edge of a clique on k variables must be hit, and
+    a vertex cover of a complete graph leaves at most one vertex out, so
+    the clique needs k - 1 of its variables.  The taken cliques and
+    supports are pairwise disjoint, so their needs add up.
+    """
+    ordered = sorted(supports, key=len)
+    nbrs = {}
+    for s in ordered:
+        if len(s) == 2:
+            u, v = s
+            nbrs.setdefault(u, set()).add(v)
+            nbrs.setdefault(v, set()).add(u)
     used = set()
     count = 0
-    for s in sorted(supports, key=len):
-        if used.isdisjoint(s):
-            used.update(s)
-            count += 1
+    for s in ordered:
+        if not used.isdisjoint(s):
+            continue
+        used.update(s)
+        count += 1
+        if len(s) == 2:
+            u, v = s
+            grown = []
+            for w in sorted(nbrs[u] & nbrs[v]):
+                if w not in used and all(w in nbrs[x] for x in grown):
+                    grown.append(w)
+                    used.add(w)
+            count += len(grown)
     return count
 
 

@@ -333,6 +333,7 @@ def _component_pd(gens, char):
         key=lambda pair: -len(pair[1]),
     )
     best = 0
+    homology = {}  # many lattice elements reduce to the same core
     for a, dividing in elements:
         if len(dividing) <= best:
             break  # sorted by |G_a|, and p never exceeds |G_a|
@@ -343,7 +344,9 @@ def _component_pd(gens, char):
         # homology in dimension k needs k <= min(#vertices, #constraints) - 2
         if verts and min(len(verts), len(cons)) <= best:
             continue
-        hom = _reduced_betti(_faces_of_core(core), char)
+        hom = homology.get(core)
+        if hom is None:
+            hom = homology[core] = _reduced_betti(_faces_of_core(core), char)
         if hom:
             best = max(best, max(hom) + 2)
     return best

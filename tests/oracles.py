@@ -30,6 +30,22 @@ def all_monomials(rows, width, max_degree):
     return out
 
 
+def brute_minimal_generators(candidates):
+    """Distinct candidates no other distinct candidate divides, in sort_key order."""
+    distinct = set(candidates)
+    return tuple(
+        sorted(
+            (m for m in distinct if not any(g != m and g.divides(m) for g in distinct)),
+            key=Monomial.sort_key,
+        )
+    )
+
+
+def brute_inclusion_minimal(sets):
+    """Members of a family of distinct sets with no proper subset in it, shortest first."""
+    return sorted((s for s in sets if not any(t < s for t in sets)), key=len)
+
+
 def brute_orbit(mono, i, m, n):
     """Orbit by enumerating every strictly increasing map [m] -> [n] fixing 1..i."""
     images = set()

@@ -92,6 +92,39 @@ def test_fit_command(sample_file, capsys):
     assert "slope 2" in out
 
 
+def test_fit_codim_builds_no_invariant_table(sample_file, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit --column codim built a full invariant table")
+
+    monkeypatch.setattr("incchains.cli.invariant_table", refuse)
+    assert main(["fit", "--spec", sample_file, "--n", "4..9", "--column", "codim"]) == 0
+    assert capsys.readouterr().out == (
+        "codim: slope 2, intercept -5, onset 4, steps 5, conclusive\n"
+    )
+
+
+# stderr of fit --column codim's refusals, as printed while it built a full table
+@pytest.mark.parametrize(
+    "flags, width, err",
+    [
+        ([], "6..4", "error: empty width range\n"),
+        (["--char", "4"], "4..9", "error: field characteristic must be 0 or a prime, got 4\n"),
+        (
+            ["--char", "4294967311"],
+            "4..9",
+            "error: field characteristic 4294967311 exceeds the supported maximum "
+            "3037000499 (the largest p with p*p < 2**63)\n",
+        ),
+    ],
+)
+def test_fit_codim_refusals_unchanged(sample_file, capsys, flags, width, err):
+    argv = flags + ["fit", "--spec", sample_file, "--n", width, "--column", "codim"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_verify_codim_exit_codes(sample_file, capsys):
     assert main(["verify", "--spec", sample_file, "--n", "4..9", "--theorem", "codim"]) == 0
     capsys.readouterr()

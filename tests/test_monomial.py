@@ -13,7 +13,9 @@ from incchains import (
 )
 from conftest import make_mixed_chain
 from incchains import generate
-from oracles import all_monomials
+from incchains.monomial import inclusion_minimal
+from oracles import all_monomials, brute_inclusion_minimal, brute_minimal_generators
+from randgen import random_monomial, rng_for
 
 
 @st.composite
@@ -243,3 +245,38 @@ def test_q_invariant_matches_enumeration(ideal):
     expected = sum(1 for u in all_monomials(2, 2, bound) if u not in ideal)
     assert ideal.q_invariant() == expected
     assert ideal.q_invariant() >= 1
+
+
+def test_minimal_generators_match_all_pairs_oracle():
+    saw_unit = saw_duplicates = 0
+    for k in range(300):
+        rng = rng_for("mingens", k)
+        rows, width = rng.randint(1, 3), rng.randint(1, 6)
+        candidates = [
+            random_monomial(rng, rows, width, 4) for _ in range(rng.randint(0, 40))
+        ]
+        candidates += rng.sample(candidates, min(len(candidates), rng.randint(0, 5)))
+        if rng.random() < 0.1:
+            candidates.insert(rng.randint(0, len(candidates)), Monomial())
+        saw_unit += Monomial() in candidates
+        saw_duplicates += len(set(candidates)) < len(candidates)
+        rng.shuffle(candidates)
+        ideal = MonomialIdeal(rows, width, candidates)
+        assert ideal.gens == brute_minimal_generators(candidates)
+    assert saw_unit and saw_duplicates > 100
+
+
+def test_inclusion_minimal_matches_all_pairs_oracle():
+    saw_empty = 0
+    for k in range(300):
+        rng = rng_for("inclusion-minimal", k)
+        universe = range(rng.randint(1, 9))
+        family = {
+            frozenset(rng.sample(universe, rng.randint(0, len(universe))))
+            for _ in range(rng.randint(0, 30))
+        }
+        saw_empty += frozenset() in family
+        members = list(family)
+        rng.shuffle(members)
+        assert inclusion_minimal(members) == brute_inclusion_minimal(members)
+    assert saw_empty

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 
@@ -11,8 +13,9 @@ from incchains import (
     minimal_primes,
     variable,
 )
-from incchains import generate
-from conftest import make_mixed_chain
+from incchains import generate, verify_codim_theorem
+from incchains.primes import _minimal_supports, _packing_bound
+from conftest import make_mixed_chain, make_product_chain
 from oracles import brute_minimal_primes
 from randgen import random_ideal, random_proper_ideal, rng_for
 from test_monomial import ideals
@@ -132,3 +135,51 @@ def test_splitting_identity_on_squarefree_ideals():
         assert lhs == min(via_colon, via_sum), (str(ideal), str(x))
         checked += 1
     assert checked == 200
+
+
+def _planted_clique_ideal(rng):
+    """Squarefree ideal on 4..14 variables: planted cliques, extra edges, short supports."""
+    width = rng.randint(4, 14)
+    columns = range(1, width + 1)
+    supports = set()
+    for _ in range(rng.randint(0, 3)):
+        clique = rng.sample(columns, min(width, rng.randint(3, 7)))
+        supports.update(frozenset(pair) for pair in itertools.combinations(clique, 2))
+    for _ in range(rng.randint(0, 2 * width)):
+        supports.add(frozenset(rng.sample(columns, 2)))
+    for _ in range(rng.randint(0, 3)):
+        supports.add(frozenset(rng.sample(columns, rng.randint(1, 3))))
+    gens = [Monomial({(1, j): 1 for j in s}) for s in supports]
+    return MonomialIdeal(1, width, gens)
+
+
+def _disjoint_packing_size(supports):
+    """Greedy count of pairwise disjoint supports, shortest first, with no cliques."""
+    used = set()
+    count = 0
+    for s in sorted(supports, key=len):
+        if used.isdisjoint(s):
+            used.update(s)
+            count += 1
+    return count
+
+
+def test_clique_bound_is_a_lower_bound():
+    raised = 0
+    for k in range(400):
+        ideal = _planted_clique_ideal(rng_for("clique-bound", k))
+        exact = codim_bruteforce(ideal)
+        supports = _minimal_supports(ideal)
+        bound = _packing_bound(supports)
+        assert bound <= exact, str(ideal)
+        assert codim(ideal) == exact, str(ideal)
+        raised += bound > _disjoint_packing_size(supports)
+    # the cliques must actually raise the bound above a disjoint packing
+    assert raised > 100
+
+
+def test_codim_theorem_on_product3_to_width_30():
+    report = verify_codim_theorem(make_product_chain(3), 20, 30)
+    assert report.verdict == "PASS"
+    assert report.details["codim"] == {n: n - 2 for n in range(20, 31)}
+    assert report.details["slope"] == report.details["gamma"] == 1
