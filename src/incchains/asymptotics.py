@@ -258,6 +258,8 @@ def verify_codim_theorem(spec, n_from, n_to):
     INCONCLUSIVE, never FAIL, unless the slope genuinely disagrees.
     """
     start = max(n_from, spec.seed_index)
+    if start > n_to:
+        raise ValueError("empty width range")
     values = [(n, codim(generate(spec, n))) for n in range(start, n_to + 1)]
     finite = [(n, v) for n, v in values if v is not INFINITY]
     if not finite:

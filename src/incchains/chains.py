@@ -143,10 +143,6 @@ def chain_radical(spec):
     )
 
 
-def _column_variables(rows, width, col):
-    return [variable(k, col) for k in range(1, rows + 1)]
-
-
 def e_chain(spec, evector):
     """The derived chain quotiented by column-(index+1) powers, plus that column.
 
@@ -167,7 +163,8 @@ def e_chain(spec, evector):
     base = generate(spec, r1)
     divisor = Monomial({(k + 1, col): e for k, e in enumerate(evector) if e})
     quotient = base.colon(divisor)
-    seed = quotient + MonomialIdeal(spec.rows, r1, _column_variables(spec.rows, r1, col))
+    column = [variable(k, col) for k in range(1, spec.rows + 1)]
+    seed = quotient + MonomialIdeal(spec.rows, r1, column)
     return ChainSpec(
         rows=spec.rows,
         index=spec.index + 1,

@@ -91,11 +91,10 @@ def _cmd_invariants(spec, args):
 def _cmd_fit(spec, args):
     lo, hi = args.n
     if args.column == "codim":
-        # codim alone needs no pd; the range and field are checked as for pd
+        # codim alone needs no pd; the range is checked as for pd
         if lo > hi:
             raise ValueError("empty width range")
         values = [(n, codim(generate(spec, n))) for n in range(lo, hi + 1)]
-        _check_char(args.char)
         points = [(n, v) for n, v in values if v is not INFINITY]
     else:
         table = invariant_table(spec, lo, hi, field_char=args.char, gen_cap=args.gen_cap)
@@ -252,7 +251,9 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        payload, lines, code = args.fn(_load(args), args)
+        spec = _load(args)
+        _check_char(args.char)
+        payload, lines, code = args.fn(spec, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -37,6 +37,9 @@ __all__ = [
 # cover family is skipped and only the cover number is computed.
 COVER_FAMILY_GENERATOR_CAP = 32
 COVER_FAMILY_PRIME_CAP = 20000
+# Above this many straddling generators vm_bound tries only the empty set,
+# the singletons and the full set, and reports the bound as incomplete.
+VM_SUBSET_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -281,7 +284,7 @@ class VmBound:
     complete: bool
 
 
-def vm_bound(spec, subset_cap=16):
+def vm_bound(spec):
     """Maximize the cover number over colons by products of straddling low parts.
 
     A subset M of the straddling generators is admissible when the product
@@ -296,7 +299,7 @@ def vm_bound(spec, subset_cap=16):
         return VmBound(gamma_chain(spec).gamma, frozenset(), True)
     part = partition_generators(seed, spec.index)
     mids = list(part.factorizations)
-    complete = len(mids) <= subset_cap
+    complete = len(mids) <= VM_SUBSET_CAP
     if complete:
         subset_iter = itertools.chain.from_iterable(
             itertools.combinations(range(len(mids)), size)

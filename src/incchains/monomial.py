@@ -8,6 +8,8 @@ on the generators.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .errors import RowError, UndefinedInvariantError, WidthError
 
 __all__ = [
@@ -399,11 +401,16 @@ class MonomialIdeal:
 
 
 def inclusion_minimal(sets):
-    """Inclusion-minimal members of a collection of distinct sets, shortest first."""
+    """Inclusion-minimal members of a collection of distinct sets, shortest first.
+
+    Only a strictly shorter set can lie strictly inside another, so each
+    group of equal length is tested against the sets kept from shorter
+    lengths only.
+    """
     kept = []
-    for s in sorted(sets, key=len):
-        if not any(t < s for t in kept):
-            kept.append(s)
+    for _, group in groupby(sorted(sets, key=len), key=len):
+        shorter = tuple(kept)
+        kept += [s for s in group if not any(t < s for t in shorter)]
     return kept
 
 

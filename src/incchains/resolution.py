@@ -84,15 +84,28 @@ class LcmLattice:
         return len(self.elements)
 
 
-def _closure(gens, element_cap=LATTICE_ELEMENT_CAP):
-    elems = {Monomial()}
-    for g in gens:
-        elems |= {m.lcm(g) for m in elems}
-        if len(elems) > element_cap:
+def _closure(gens):
+    """The lcm lattice of ``gens``: {lcm: the generators dividing it, in gens order}.
+
+    Each element carries a bitmask of generator indices, and the lcm with
+    generator i ORs the mask it came from and bit i into the result.  The
+    masks are exact.  Suppose lcm a takes generator i; then a is also
+    lcm(m', g_i), where m' is the lcm of the earlier generators dividing a.
+    The mask of m' already holds all of them, so by induction each mask
+    equals the full dividing set.
+    """
+    below = {Monomial(): 0}
+    for i, g in enumerate(gens):
+        for m, d in list(below.items()):
+            a = m.lcm(g)
+            below[a] = below.get(a, 0) | d | 1 << i
+        if len(below) > LATTICE_ELEMENT_CAP:
             raise CapacityError(
-                f"lcm lattice exceeds {element_cap} elements; refusing"
+                f"lcm lattice exceeds {LATTICE_ELEMENT_CAP} elements; refusing"
             )
-    return elems
+    for a, mask in below.items():
+        below[a] = tuple(g for i, g in enumerate(gens) if mask >> i & 1)
+    return below
 
 
 def lcm_lattice(ideal, gen_cap=DEFAULT_GENERATOR_CAP):
@@ -100,9 +113,11 @@ def lcm_lattice(ideal, gen_cap=DEFAULT_GENERATOR_CAP):
     if ideal.is_zero or ideal.is_unit:
         raise UndefinedInvariantError("lcm lattice needs a proper nonzero ideal")
     _check_gen_cap(ideal, gen_cap)
-    elems = sorted(_closure(ideal.gens), key=lambda m: m.sort_key())
-    dividing = {a: tuple(g for g in ideal.gens if g.divides(a)) for a in elems}
-    return LcmLattice(elements=tuple(elems), dividing_generators=dividing)
+    below = _closure(ideal.gens)
+    elems = sorted(below, key=Monomial.sort_key)
+    return LcmLattice(
+        elements=tuple(elems), dividing_generators={a: below[a] for a in elems}
+    )
 
 
 # -- reduced strict-divisor complexes ---------------------------------------
@@ -254,10 +269,10 @@ def _components(gens):
 def _component_quotient_table(gens, char):
     """Betti table of R modulo the ideal on one variable-connected component."""
     table = {(0, Monomial()): 1}
-    for a in _closure(gens):
+    for a, dividing in _closure(gens).items():
         if a.is_unit:
             continue
-        core = _core(a, tuple(g for g in gens if g.divides(a)))
+        core = _core(a, dividing)
         if core is None:
             continue
         for dim, rank in _reduced_betti(_faces_of_core(core), char).items():
@@ -324,19 +339,12 @@ def betti(ideal, field_char=0, gen_cap=DEFAULT_GENERATOR_CAP):
 
 def _component_pd(gens, char):
     """Projective dimension of R modulo the component ideal, top degree only."""
-    elements = sorted(
-        (
-            (a, tuple(g for g in gens if g.divides(a)))
-            for a in _closure(gens)
-            if not a.is_unit
-        ),
-        key=lambda pair: -len(pair[1]),
-    )
+    elements = sorted(_closure(gens).items(), key=lambda pair: -len(pair[1]))
     best = 0
     homology = {}  # many lattice elements reduce to the same core
     for a, dividing in elements:
         if len(dividing) <= best:
-            break  # sorted by |G_a|, and p never exceeds |G_a|
+            break  # sorted by |G_a|, p never exceeds |G_a|, and the unit has none
         core = _core(a, dividing)
         if core is None:
             continue

@@ -46,6 +46,18 @@ def brute_inclusion_minimal(sets):
     return sorted((s for s in sets if not any(t < s for t in sets)), key=len)
 
 
+def brute_lcm_lattice(gens):
+    """{lcm of a subset of gens: the gens dividing it, in gens order}, over every subset."""
+    out = {}
+    for size in range(len(gens) + 1):
+        for combo in itertools.combinations(gens, size):
+            m = Monomial()
+            for g in combo:
+                m = m.lcm(g)
+            out[m] = tuple(g for g in gens if g.divides(m))
+    return out
+
+
 def brute_orbit(mono, i, m, n):
     """Orbit by enumerating every strictly increasing map [m] -> [n] fixing 1..i."""
     images = set()

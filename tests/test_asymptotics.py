@@ -87,6 +87,13 @@ def test_verify_codim_theorem_unit_chain():
     assert verify_codim_theorem(unit, 2, 8).verdict == "PASS"
 
 
+@pytest.mark.parametrize("n_from, n_to", [(6, 4), (1, 2)])
+def test_verify_codim_theorem_refuses_empty_range(mixed_chain, n_from, n_to):
+    # (1, 2) lies wholly below the seed index 4, so no width is checked
+    with pytest.raises(ValueError, match="empty width range"):
+        verify_codim_theorem(mixed_chain, n_from, n_to)
+
+
 def test_verify_codim_theorem_product_chain():
     report = verify_codim_theorem(make_product_chain(3), 3, 9)
     assert report.verdict == "PASS"

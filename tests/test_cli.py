@@ -239,3 +239,32 @@ def test_import_leaves_numpy_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["gen", "--n", "5"],
+        ["gamma"],
+        ["verify", "--n", "4..9", "--theorem", "codim"],
+        ["verify", "--n", "4..6", "--theorem", "cm"],
+        ["oracle", "--n", "1"],
+    ],
+)
+@pytest.mark.parametrize("header", [False, True])
+def test_bad_char_refused_by_every_command(tmp_path, capsys, command, header):
+    path = tmp_path / "sample.chain"
+    path.write_text(("char = 4\n" if header else "") + SAMPLE)
+    flags = [] if header else ["--char", "4"]
+    assert main(flags + command[:1] + ["--spec", str(path)] + command[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: field characteristic must be 0 or a prime, got 4\n"
+
+
+@pytest.mark.parametrize("width", ["6..4", "1..2"])
+def test_verify_codim_empty_range_exits_1(sample_file, capsys, width):
+    assert main(["verify", "--spec", sample_file, "--n", width, "--theorem", "codim"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty width range\n"

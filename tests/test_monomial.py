@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -280,3 +282,11 @@ def test_inclusion_minimal_matches_all_pairs_oracle():
         rng.shuffle(members)
         assert inclusion_minimal(members) == brute_inclusion_minimal(members)
     assert saw_empty
+    # many sets of one length, some of them above a few shorter ones
+    for k in range(20):
+        rng = rng_for("inclusion-minimal-equal-length", k)
+        members = [frozenset(c) for c in itertools.combinations(range(9), 3)]
+        members += [frozenset(rng.sample(range(9), 2)) for _ in range(k % 4)]
+        members = list(set(members))
+        rng.shuffle(members)
+        assert inclusion_minimal(members) == brute_inclusion_minimal(members)

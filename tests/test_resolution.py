@@ -9,6 +9,7 @@ import pytest
 
 from incchains import (
     CapacityError,
+    ChainSpec,
     Monomial,
     MonomialIdeal,
     betti,
@@ -16,13 +17,14 @@ from incchains import (
     e_chain,
     e_set,
     generate,
+    invariant_table,
     lcm_lattice,
     pd_ideal,
     pd_quotient,
     pd_taylor_oracle,
     variable,
 )
-from incchains import linalg
+from incchains import linalg, resolution
 from incchains.linalg import rank_int_exact
 from incchains.resolution import (
     _closure,
@@ -33,7 +35,7 @@ from incchains.resolution import (
     _reduced_betti,
 )
 from conftest import make_mixed_chain
-from oracles import brute_betti_table, brute_core_faces
+from oracles import brute_betti_table, brute_core_faces, brute_lcm_lattice
 from randgen import random_chain, random_proper_ideal, rng_for
 
 
@@ -181,6 +183,47 @@ def test_lcm_lattice_cap():
     gens = [variable(1, j) for j in range(1, 6)]
     with pytest.raises(CapacityError):
         lcm_lattice(MonomialIdeal(1, 5, gens), gen_cap=4)
+
+
+def test_lcm_lattice_matches_subset_oracle():
+    squarefree_seen = 0
+    for k in range(300):
+        rng = rng_for("lcm-lattice", k)
+        squarefree = k % 2 == 0
+        ideal = random_proper_ideal(
+            rng, rng.randint(1, 3), rng.randint(2, 5), 9, 4, squarefree=squarefree
+        )
+        squarefree_seen += ideal.is_squarefree()
+        expected = brute_lcm_lattice(ideal.gens)
+        lat = lcm_lattice(ideal)
+        assert len(lat) == len(expected)
+        assert set(lat.elements) == set(expected)
+        assert list(lat.elements) == sorted(expected, key=Monomial.sort_key)
+        assert lat.dividing_generators == expected
+    assert 0 < squarefree_seen < 300
+
+
+def test_lattice_cap_refuses_and_table_brackets(monkeypatch):
+    monkeypatch.setattr(resolution, "LATTICE_ELEMENT_CAP", 10)
+    message = "lcm lattice exceeds 10 elements; refusing"
+    coprime = MonomialIdeal(1, 5, [variable(1, j) for j in range(1, 6)])
+    with pytest.raises(CapacityError, match=message):
+        lcm_lattice(coprime, gen_cap=64)
+    # pd splits coprime generators into components, so it needs a connected
+    # ideal: the edges of the complete graph on 5 variables (27 lcms)
+    edges = MonomialIdeal(
+        1, 5, [variable(1, i) * variable(1, j) for i, j in itertools.combinations(range(1, 6), 2)]
+    )
+    with pytest.raises(CapacityError, match=message):
+        pd_quotient(edges)
+    # that ideal is the width-5 member of the chain seeded by x[1,1]*x[1,2]
+    spec = ChainSpec(rows=1, index=0, seed_index=2, seed=MonomialIdeal(1, 2, edges.gens[:1]))
+    table = invariant_table(spec, 3, 5)
+    assert [(r.n, r.flag, r.pd_exact) for r in table.entries] == [
+        (3, "exact", 2),
+        (4, "bounded", None),
+        (5, "bounded", None),
+    ]
 
 
 def test_betti_koszul_pair():
