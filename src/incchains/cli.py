@@ -91,9 +91,6 @@ def _cmd_invariants(spec, args):
 def _cmd_fit(spec, args):
     lo, hi = args.n
     if args.column == "codim":
-        # codim alone needs no pd; the range is checked as for pd
-        if lo > hi:
-            raise ValueError("empty width range")
         values = [(n, codim(generate(spec, n))) for n in range(lo, hi + 1)]
         points = [(n, v) for n, v in values if v is not INFINITY]
     else:
@@ -253,6 +250,9 @@ def main(argv=None):
     try:
         spec = _load(args)
         _check_char(args.char)
+        widths = getattr(args, "n", None)  # a (lo, hi) range for the range commands
+        if isinstance(widths, tuple) and widths[0] > widths[1]:
+            raise ValueError("empty width range")
         payload, lines, code = args.fn(spec, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

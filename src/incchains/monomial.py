@@ -79,7 +79,12 @@ class Monomial:
         if isinstance(entries, dict):
             items = entries.items()
         else:
-            items = entries
+            items = tuple(entries)
+            seen = set()
+            for (row, col), _ in items:
+                if (row, col) in seen:
+                    raise ValueError(f"repeated position ({row},{col})")
+                seen.add((row, col))
         cleaned = []
         for (row, col), exp in items:
             if exp == 0:

@@ -5,13 +5,15 @@ The engine walks the lcm lattice of the generators.  For a lattice element
 rank, in dimension p - 1, of the complex of generator subsets whose lcm
 strictly divides ``a`` (restricted to generators dividing ``a``).  That
 complex is a union of full simplices, one per variable of ``a``, which
-permits strong homotopy-preserving reductions before any linear algebra:
-redundant covering constraints are dropped, dominated vertices are folded
-away, and cones are recognized outright.  By the nerve lemma the reduced
-core has the homology of its nerve, the constraint sets that leave some
-vertex uncovered, so homology is computed on whichever side, vertex or
-nerve, has the smaller face bound; the face cap counts the faces of that
-side.
+permits strong homotopy-preserving reductions before any linear algebra.
+The incidence is int bitmasks from the lcm closure to the faces, and one
+rule reduces both its sides: keep the distinct inclusion-minimal masks of
+the constraints (dropping redundant ones), then of the vertex memberships
+(folding dominated vertices away).  Cones are recognized outright.  By the
+nerve lemma the reduced core has the homology of its nerve, the constraint
+sets that leave some vertex uncovered, so homology is computed on
+whichever side, vertex or nerve, has the smaller face bound; the face cap
+counts the faces of that side.
 
 Generators in disjoint variables resolve independently: the table of a
 disjoint union is the convolution of the component tables, and projective
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, UndefinedInvariantError
 from .linalg import rank_int_exact
-from .monomial import Monomial, inclusion_minimal, variable_components
+from .monomial import Monomial, variable_components
 
 __all__ = [
     "DEFAULT_GENERATOR_CAP",
@@ -85,7 +87,7 @@ class LcmLattice:
 
 
 def _closure(gens):
-    """The lcm lattice of ``gens``: {lcm: the generators dividing it, in gens order}.
+    """The lcm lattice of ``gens``: {lcm: bitmask of the generator indices dividing it}.
 
     Each element carries a bitmask of generator indices, and the lcm with
     generator i ORs the mask it came from and bit i into the result.  The
@@ -103,8 +105,6 @@ def _closure(gens):
             raise CapacityError(
                 f"lcm lattice exceeds {LATTICE_ELEMENT_CAP} elements; refusing"
             )
-    for a, mask in below.items():
-        below[a] = tuple(g for i, g in enumerate(gens) if mask >> i & 1)
     return below
 
 
@@ -115,68 +115,63 @@ def lcm_lattice(ideal, gen_cap=DEFAULT_GENERATOR_CAP):
     _check_gen_cap(ideal, gen_cap)
     below = _closure(ideal.gens)
     elems = sorted(below, key=Monomial.sort_key)
-    return LcmLattice(
-        elements=tuple(elems), dividing_generators={a: below[a] for a in elems}
-    )
+    gens = ideal.gens
+    dividing = {a: tuple(g for i, g in enumerate(gens) if below[a] >> i & 1) for a in elems}
+    return LcmLattice(elements=tuple(elems), dividing_generators=dividing)
 
 
 # -- reduced strict-divisor complexes ---------------------------------------
 
 
-def _core(a, gens_dividing):
+def _attains(gens):
+    """{(position, exponent): bitmask of the generators with that exponent there}."""
+    attains = {}
+    for i, g in enumerate(gens):
+        for entry in g.entries:
+            attains[entry] = attains.get(entry, 0) | 1 << i
+    return attains
+
+
+def _minimal_masks(masks):
+    """Distinct inclusion-minimal masks, ascending: a proper submask is a smaller int."""
+    kept = []
+    for m in sorted(set(masks)):
+        if all(t & m != t for t in kept):
+            kept.append(m)
+    return kept
+
+
+def _core(a, dividing, attains):
     """Reduce the strict-divisor complex of ``a`` to a small homotopy-equivalent core.
 
-    Returns None when the complex is contractible (no homology anywhere),
-    otherwise (vertices, constraints): the complex has one vertex per
-    surviving generator, and its faces are the vertex sets missing at
-    least one constraint entirely.
+    ``dividing`` masks the generators dividing ``a``; the constraint of a
+    variable masks those attaining its exponent in ``a``.  Returns None when
+    the complex is contractible (no homology anywhere), otherwise
+    (k, constraints): vertices 0..k-1 in generator order, ascending
+    constraint masks, and as faces the vertex sets missing some constraint.
+    One rule reduces both sides until nothing changes: keep the distinct
+    inclusion-minimal masks of the constraints, then of the vertex
+    memberships, taking the least vertex of each; a dropped vertex's link
+    is a cone on a kept one.
     """
-    # g divides a, so the support of g lies inside the support of a
-    top = dict(a.entries)
-    achieved = []
-    for g in gens_dividing:
-        s = frozenset(p for p, e in g.entries if top[p] == e)
-        if not s:
-            return None  # the vertex lies in every maximal face: a cone
-        achieved.append(s)
-    nverts = len(gens_dividing)
-    verts = set(range(nverts))
-    constraints = {frozenset(v for v in verts if p in achieved[v]) for p in top}
-
+    live, cons = dividing, [dividing & attains[entry] for entry in a.entries]
     while True:
-        # constraints restricted to live vertices, kept inclusion-minimal
-        trimmed = {c & frozenset(verts) for c in constraints}
-        if any(not c for c in trimmed):
-            # some variable no longer coverable: every vertex set is a face
-            return None if verts else ((), ())
-        cons = inclusion_minimal(trimmed)
-        changed = len(cons) != len(constraints)
-        constraints = set(cons)
-
-        membership = {
-            v: frozenset(ci for ci, c in enumerate(cons) if v in c) for v in verts
-        }
-        if any(not m for m in membership.values()):
-            return None  # vertex covering nothing: a cone apex
-        dropped = set()
-        order = sorted(verts)
-        for w in order:
-            if w in dropped:
-                continue
-            mw = membership[w]
-            for v in order:
-                if v == w or v in dropped:
-                    continue
-                mv = membership[v]
-                if mv < mw or (mv == mw and v < w):
-                    dropped.add(w)
-                    break
-        if dropped:
-            verts -= dropped
-            changed = True
-        if not changed:
+        trimmed = _minimal_masks(c & live for c in cons)
+        if not trimmed or not trimmed[0]:
+            return None  # the unit's void complex, or a full simplex: no homology
+        order = [v for v in range(live.bit_length()) if live >> v & 1]
+        least = {}  # membership mask -> its least vertex
+        for v in order:
+            member = sum(1 << j for j, c in enumerate(trimmed) if c >> v & 1)
+            if not member:
+                return None  # vertex covering nothing: a cone apex
+            least.setdefault(member, v)
+        kept = sum(1 << least[m] for m in _minimal_masks(least))
+        if kept == live and len(trimmed) == len(cons):
             break
-    return tuple(sorted(verts)), tuple(sorted(constraints, key=sorted))
+        live, cons = kept, trimmed
+    renumbered = (sum(1 << i for i, v in enumerate(order) if c >> v & 1) for c in trimmed)
+    return len(order), tuple(renumbered)
 
 
 def _faces_of_core(core):
@@ -191,26 +186,23 @@ def _faces_of_core(core):
     a vertex set is a face iff the constraints holding its vertices do not
     cover every constraint; its faces are tuples of vertex positions.
     """
-    verts, constraints = core
-    vset = frozenset(verts)
-    total = sum(1 << len(vset - c) for c in constraints)
+    nverts, constraints = core
+    total = sum(1 << (nverts - c.bit_count()) for c in constraints)
     if 1 << len(constraints) < total:
-        return _nerve_faces(verts, constraints)
+        return _nerve_faces(nverts, constraints)
     if total > FACE_ENUMERATION_CAP:
         raise CapacityError("reduced complex too large to enumerate")
-    members = [frozenset(i for i, c in enumerate(constraints) if v in c) for v in verts]
-    return _nerve_faces(range(len(constraints)), members)
+    members = [sum(1 << i for i, c in enumerate(constraints) if c >> v & 1) for v in range(nverts)]
+    return _nerve_faces(len(constraints), members)
 
 
-def _nerve_faces(verts, constraints):
-    """Constraint-index sets whose constraints leave some vertex uncovered.
+def _nerve_faces(nverts, masks):
+    """Index sets of ``masks`` whose union leaves one of ``nverts`` bits unset.
 
     Depth-first over a union bitmask: a branch stops as soon as its union
     covers every vertex, since all its extensions cover them too.
     """
-    bit = {v: 1 << i for i, v in enumerate(verts)}
-    masks = [sum(bit[v] for v in c) for c in constraints]
-    full = (1 << len(verts)) - 1
+    full = (1 << nverts) - 1
     faces = [()]
     stack = [((), 0, 0)]
     while stack:
@@ -269,10 +261,9 @@ def _components(gens):
 def _component_quotient_table(gens, char):
     """Betti table of R modulo the ideal on one variable-connected component."""
     table = {(0, Monomial()): 1}
+    attains = _attains(gens)
     for a, dividing in _closure(gens).items():
-        if a.is_unit:
-            continue
-        core = _core(a, dividing)
+        core = _core(a, dividing, attains)
         if core is None:
             continue
         for dim, rank in _reduced_betti(_faces_of_core(core), char).items():
@@ -339,18 +330,19 @@ def betti(ideal, field_char=0, gen_cap=DEFAULT_GENERATOR_CAP):
 
 def _component_pd(gens, char):
     """Projective dimension of R modulo the component ideal, top degree only."""
-    elements = sorted(_closure(gens).items(), key=lambda pair: -len(pair[1]))
+    elements = sorted(_closure(gens).items(), key=lambda pair: -pair[1].bit_count())
+    attains = _attains(gens)
     best = 0
     homology = {}  # many lattice elements reduce to the same core
     for a, dividing in elements:
-        if len(dividing) <= best:
+        if dividing.bit_count() <= best:
             break  # sorted by |G_a|, p never exceeds |G_a|, and the unit has none
-        core = _core(a, dividing)
+        core = _core(a, dividing, attains)
         if core is None:
             continue
-        verts, cons = core
+        nverts, cons = core
         # homology in dimension k needs k <= min(#vertices, #constraints) - 2
-        if verts and min(len(verts), len(cons)) <= best:
+        if min(nverts, len(cons)) <= best:
             continue
         hom = homology.get(core)
         if hom is None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 
 from incchains import INFINITY, Monomial, MonomialIdeal
+from incchains.monomial import inclusion_minimal
 
 
 def all_monomials(rows, width, max_degree):
@@ -257,3 +258,63 @@ def brute_core_faces(core):
         for face in itertools.combinations(verts, size)
         if any(c.isdisjoint(face) for c in constraints)
     ]
+
+
+# The set-based core reduction the bitmask ``resolution._core`` replaced,
+# kept verbatim as its reference: frozensets of generator indices,
+# ``inclusion_minimal`` on constraints and a pairwise domination loop on
+# vertices.
+def reference_core(a, gens_dividing):
+    """Reduce the strict-divisor complex of ``a`` to a small homotopy-equivalent core.
+
+    Returns None when the complex is contractible (no homology anywhere),
+    otherwise (vertices, constraints): the complex has one vertex per
+    surviving generator, and its faces are the vertex sets missing at
+    least one constraint entirely.
+    """
+    # g divides a, so the support of g lies inside the support of a
+    top = dict(a.entries)
+    achieved = []
+    for g in gens_dividing:
+        s = frozenset(p for p, e in g.entries if top[p] == e)
+        if not s:
+            return None  # the vertex lies in every maximal face: a cone
+        achieved.append(s)
+    nverts = len(gens_dividing)
+    verts = set(range(nverts))
+    constraints = {frozenset(v for v in verts if p in achieved[v]) for p in top}
+
+    while True:
+        # constraints restricted to live vertices, kept inclusion-minimal
+        trimmed = {c & frozenset(verts) for c in constraints}
+        if any(not c for c in trimmed):
+            # some variable no longer coverable: every vertex set is a face
+            return None if verts else ((), ())
+        cons = inclusion_minimal(trimmed)
+        changed = len(cons) != len(constraints)
+        constraints = set(cons)
+
+        membership = {
+            v: frozenset(ci for ci, c in enumerate(cons) if v in c) for v in verts
+        }
+        if any(not m for m in membership.values()):
+            return None  # vertex covering nothing: a cone apex
+        dropped = set()
+        order = sorted(verts)
+        for w in order:
+            if w in dropped:
+                continue
+            mw = membership[w]
+            for v in order:
+                if v == w or v in dropped:
+                    continue
+                mv = membership[v]
+                if mv < mw or (mv == mw and v < w):
+                    dropped.add(w)
+                    break
+        if dropped:
+            verts -= dropped
+            changed = True
+        if not changed:
+            break
+    return tuple(sorted(verts)), tuple(sorted(constraints, key=sorted))

@@ -262,6 +262,14 @@ def test_bad_char_refused_by_every_command(tmp_path, capsys, command, header):
     assert captured.err == "error: field characteristic must be 0 or a prime, got 4\n"
 
 
+@pytest.mark.parametrize("theorem", ["pd-bounds", "cm", "c1"])
+def test_verify_refuses_a_reversed_range_for_every_theorem(sample_file, capsys, theorem):
+    assert main(["verify", "--spec", sample_file, "--n", "6..4", "--theorem", theorem]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty width range\n"
+
+
 @pytest.mark.parametrize("width", ["6..4", "1..2"])
 def test_verify_codim_empty_range_exits_1(sample_file, capsys, width):
     assert main(["verify", "--spec", sample_file, "--n", width, "--theorem", "codim"]) == 1

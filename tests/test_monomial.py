@@ -57,6 +57,14 @@ def test_monomial_basics():
     assert (variable(1, 1) * variable(1, 1)).exponent((1, 1)) == 2
 
 
+def test_repeated_position_refused():
+    with pytest.raises(ValueError, match=r"^repeated position \(1,1\)$"):
+        Monomial([((1, 1), 1), ((1, 1), 2)])
+    with pytest.raises(ValueError, match=r"^repeated position \(2,3\)$"):
+        Monomial(iter([((2, 3), 0), ((1, 1), 1), ((2, 3), 1)]))
+    assert Monomial([((1, 2), 2), ((1, 1), 1)]) == Monomial({(1, 1): 1, (1, 2): 2})
+
+
 def test_divides_examples():
     assert Monomial().divides(variable(2, 5, 7))
     u = variable(1, 2, 3)

@@ -27,6 +27,7 @@ from incchains import (
 from incchains import linalg, resolution
 from incchains.linalg import rank_int_exact
 from incchains.resolution import (
+    _attains,
     _closure,
     _components,
     _core,
@@ -35,7 +36,7 @@ from incchains.resolution import (
     _reduced_betti,
 )
 from conftest import make_mixed_chain
-from oracles import brute_betti_table, brute_core_faces, brute_lcm_lattice
+from oracles import brute_betti_table, brute_core_faces, brute_lcm_lattice, reference_core
 from randgen import random_chain, random_proper_ideal, rng_for
 
 
@@ -423,23 +424,34 @@ def test_pd_gen_cap_refusal(mixed_chain):
 
 def _cores(ideal):
     for comp in _components(ideal.gens):
+        attains = _attains(comp)
         for a in _closure(comp):
             if not a.is_unit:
-                core = _core(a, tuple(g for g in comp if g.divides(a)))
+                dividing = sum(1 << i for i, g in enumerate(comp) if g.divides(a))
+                core = _core(a, dividing, attains)
                 if core is not None and core[1]:
                     yield core
 
 
+def _as_sets(core):
+    """A bitmask core as (vertex tuple, constraint frozensets)."""
+    nverts, constraints = core
+    verts = tuple(range(nverts))
+    return verts, tuple(frozenset(v for v in verts if c >> v & 1) for c in constraints)
+
+
 def _vertex_bound(core):
-    verts, constraints = core
+    verts, constraints = _as_sets(core)
     return sum(1 << (len(verts) - len(c)) for c in constraints)
 
 
 def test_nerve_side_homology_matches_vertex_side():
     spec = make_mixed_chain()
     cores = set()
-    for n in range(5, 9):
-        cores.update(_cores(generate(spec, n)))
+    # cores are numbered canonically, so relabelled copies count once; n=9
+    # adds distinct ones up to the brute oracle's 13-vertex reach
+    for n in range(5, 10):
+        cores.update(c for c in _cores(generate(spec, n)) if c[0] <= 13)
     for k in range(200):
         rng = rng_for("nerve-vs-vertex", k)
         if k % 2:
@@ -449,9 +461,9 @@ def test_nerve_side_homology_matches_vertex_side():
         cores.update(_cores(ideal))
     nerve_smaller = [c for c in cores if 1 << len(c[1]) < _vertex_bound(c)]
     assert len(nerve_smaller) >= 25
-    assert max(len(c[0]) for c in nerve_smaller) >= 13
+    assert max(len(_as_sets(c)[0]) for c in nerve_smaller) >= 13
     for core in sorted(cores, key=repr):
-        vertex_faces = brute_core_faces(core)
+        vertex_faces = brute_core_faces(_as_sets(core))
         for char in (0, 2, 32003):
             expected = _reduced_betti(vertex_faces, char)
             assert _reduced_betti(_nerve_faces(*core), char) == expected, (core, char)
@@ -478,8 +490,8 @@ def test_vertex_side_kept_where_the_nerve_is_larger():
     top = ideal.gens[0]
     for g in ideal.gens[1:]:
         top = top.lcm(g)
-    core = _core(top, ideal.gens)
-    assert (len(core[0]), len(core[1])) == (8, 70)
+    core = _core(top, (1 << len(ideal.gens)) - 1, _attains(ideal.gens))
+    assert (len(_as_sets(core)[0]), len(core[1])) == (8, 70)
     with pytest.raises(CapacityError, match="reduced complex too large to enumerate"):
         _nerve_faces(*core)
 
@@ -492,10 +504,69 @@ def test_face_cap_refuses_when_both_sides_are_large():
     # 10 singletons and the 6 pairs of the remaining 4 vertices
     constraints = [frozenset({v}) for v in range(10)]
     constraints += [frozenset(p) for p in itertools.combinations(range(10, 14), 2)]
-    core = (tuple(range(14)), tuple(constraints))
+    core = (14, tuple(sum(1 << v for v in c) for c in constraints))
     assert 1 << len(constraints) < _vertex_bound(core)
     with pytest.raises(CapacityError, match="^reduced complex too large to enumerate$"):
         _faces_of_core(core)
+
+
+# -- bitmask cores -------------------------------------------------------------
+
+
+def _renumbered(core):
+    """A set-based core as (vertex count, constraint frozensets over 0..k-1)."""
+    verts, constraints = core
+    index = {v: i for i, v in enumerate(verts)}
+    return len(verts), {frozenset(index[v] for v in c) for c in constraints}
+
+
+def test_core_matches_the_set_based_reference():
+    spec = make_mixed_chain()
+    ideals = [generate(spec, n) for n in range(4, 10)]
+    for k in range(200):
+        rng = rng_for("core-vs-reference", k)
+        if k % 2:
+            ideals.append(random_proper_ideal(rng, 1, 8, 10, 3, squarefree=True))
+        else:
+            ideals.append(random_proper_ideal(rng, 3, 4, 9, 4))
+    nones = kept = 0
+    for ideal in ideals:
+        for comp in _components(ideal.gens):
+            attains = _attains(comp)
+            for a, dividing in _closure(comp).items():
+                if a.is_unit:
+                    continue
+                expected = reference_core(a, tuple(g for g in comp if g.divides(a)))
+                core = _core(a, dividing, attains)
+                if expected is None:
+                    assert core is None, (a, comp)
+                    nones += 1
+                else:
+                    verts, constraints = _as_sets(core)
+                    assert (len(verts), set(constraints)) == _renumbered(expected), (a, comp)
+                    kept += 1
+    assert nones > 1000 and kept > 1000
+
+
+def test_core_ignores_where_the_component_sits_among_the_generators():
+    # the homology memo keys on cores, so a component must give equal cores
+    # when other generators come first and shift its generator indices
+    comps = _components(generate(make_mixed_chain(), 8).gens)
+    assert len(comps) > 1
+    cores = 0
+    for j, comp in enumerate(comps):
+        others = tuple(g for other in comps[:j] + comps[j + 1 :] for g in other)
+        gens = others + comp
+        alone, shifted = _attains(comp), _attains(gens)
+        for a, dividing in _closure(comp).items():
+            if a.is_unit:
+                continue
+            moved = sum(1 << i for i, g in enumerate(gens) if g.divides(a))
+            assert moved == dividing << len(others)
+            core = _core(a, dividing, alone)
+            assert _core(a, moved, shifted) == core
+            cores += core is not None
+    assert cores > 10
 
 
 # -- field characteristics ----------------------------------------------------
