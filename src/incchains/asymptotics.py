@@ -201,9 +201,6 @@ class LinearFit:
     steps: int
     degenerate: bool = False
 
-    def value_at(self, n):
-        return self.slope * n + self.intercept
-
 
 def fit_linear(points):
     """Fit the longest constant-difference suffix of integer points (n, value).

@@ -70,23 +70,20 @@ class Monomial:
 
     ``entries`` is a sorted tuple of ``((row, col), exponent)`` pairs with
     every stored exponent positive; the unit monomial stores nothing.
-    Instances are immutable and hashable.
+    Instances are immutable and hashable.  The constructor checks values
+    from outside the program; arithmetic results are built from valid
+    monomials without checks.
     """
 
     __slots__ = ("entries", "degree", "_hash")
 
     def __init__(self, entries=()):
-        if isinstance(entries, dict):
-            items = entries.items()
-        else:
-            items = tuple(entries)
-            seen = set()
-            for (row, col), _ in items:
-                if (row, col) in seen:
-                    raise ValueError(f"repeated position ({row},{col})")
-                seen.add((row, col))
-        cleaned = []
-        for (row, col), exp in items:
+        seen = set()
+        kept = []
+        for (row, col), exp in entries.items() if isinstance(entries, dict) else entries:
+            if (row, col) in seen:
+                raise ValueError(f"repeated position ({row},{col})")
+            seen.add((row, col))
             if exp == 0:
                 continue
             if exp < 0:
@@ -95,11 +92,16 @@ class Monomial:
                 raise RowError(f"row {row} out of range")
             if col < 1:
                 raise WidthError(f"column {col} out of range")
-            cleaned.append(((row, col), exp))
-        cleaned.sort()
-        self.entries = tuple(cleaned)
-        self.degree = sum(e for _, e in cleaned)
-        self._hash = hash(self.entries)
+            kept.append(((row, col), exp))
+        kept.sort()
+        self._set(tuple(kept))
+
+    def _set(self, entries):
+        """Fill the slots from a sorted tuple of positive entries, unchecked."""
+        self.entries = entries
+        self.degree = sum(e for _, e in entries)
+        self._hash = hash(entries)
+        return self
 
     # -- basic queries -------------------------------------------------
 
@@ -141,12 +143,12 @@ class Monomial:
         merged = dict(self.entries)
         for p, e in other.entries:
             merged[p] = merged.get(p, 0) + e
-        return Monomial(merged)
+        return _built(tuple(sorted(merged.items())))
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
-        return Monomial({p: e * k for p, e in self.entries})
+        return _built(tuple((p, e * k) for p, e in self.entries) if k else ())
 
     def divides(self, other):
         """True iff every exponent of self is at most the matching one of other."""
@@ -160,15 +162,15 @@ class Monomial:
         for p, e in other.entries:
             if merged.get(p, 0) < e:
                 merged[p] = e
-        return Monomial(merged)
+        return _built(tuple(sorted(merged.items())))
 
     def gcd(self, other):
-        out = {}
+        out = []
         for p, e in self.entries:
             f = other.exponent(p)
             if f:
-                out[p] = min(e, f)
-        return Monomial(out)
+                out.append((p, min(e, f)))
+        return _built(tuple(out))
 
     def __floordiv__(self, other):
         """Exact division; other must divide self."""
@@ -181,17 +183,17 @@ class Monomial:
                 out[p] = rest
             else:
                 del out[p]
-        return Monomial(out)
+        return _built(tuple(out.items()))
 
     def squarefree(self):
         """Product of the support variables (exponents truncated to 1)."""
-        return Monomial({p: 1 for p, _ in self.entries})
+        return _built(tuple((p, 1) for p, _ in self.entries))
 
     def split_at_column(self, i):
         """Factor into (columns <= i part, columns > i part)."""
-        low = {p: e for p, e in self.entries if p[1] <= i}
-        high = {p: e for p, e in self.entries if p[1] > i}
-        return Monomial(low), Monomial(high)
+        low = tuple((p, e) for p, e in self.entries if p[1] <= i)
+        high = tuple((p, e) for p, e in self.entries if p[1] > i)
+        return _built(low), _built(high)
 
     def apply_column_map(self, column_map):
         """Relabel columns through ``column_map`` (dict or callable)."""
@@ -201,9 +203,11 @@ class Monomial:
             fn = column_map
         out = {}
         for (row, col), e in self.entries:
-            q = (row, fn(col))
-            out[q] = out.get(q, 0) + e
-        return Monomial(out)
+            col = fn(col)
+            if col < 1:
+                raise WidthError(f"column {col} out of range")
+            out[row, col] = out.get((row, col), 0) + e
+        return _built(tuple(sorted(out.items())))
 
     # -- ordering and rendering ----------------------------------------
 
@@ -234,8 +238,9 @@ def variable(row, col, exp=1):
     return Monomial({(row, col): exp})
 
 
-def _one():
-    return Monomial()
+def _built(entries):
+    """The monomial of a sorted tuple of positive entries, built without checks."""
+    return object.__new__(Monomial)._set(entries)
 
 
 class MonomialIdeal:
@@ -266,8 +271,9 @@ class MonomialIdeal:
                 if c > width:
                     raise WidthError(f"generator {m} uses column {c} > width = {width}")
             unique.add(m)
-        if _one() in unique:
-            self.gens = (_one(),)
+        unit = _built(())
+        if unit in unique:
+            self.gens = (unit,)
         else:
             # a divisor's first position lies in the candidate's support, so
             # kept generators are bucketed by it and only those buckets scanned
@@ -354,35 +360,19 @@ class MonomialIdeal:
         if self.is_zero:
             raise UndefinedInvariantError("q-invariant of the zero ideal is infinite")
         bound = self.delta()
-        positions = [
-            (k, j) for j in range(1, self.width + 1) for k in range(1, self.rows + 1)
-        ]
-        gens = [dict(g.entries) for g in self.gens]
-
-        def in_ideal(expvec):
-            for g in gens:
-                ok = True
-                for p, e in g.items():
-                    if expvec.get(p, 0) < e:
-                        ok = False
-                        break
-                if ok:
-                    return True
-            return False
-
+        cols, rows = range(1, self.width + 1), range(1, self.rows + 1)
+        steps = [_built((((k, j), 1),)) for j in cols for k in rows]
         count = 0
-        stack = [(0, {}, 0)]
+        stack = [(0, _built(()))]
         while stack:
-            start, expvec, deg = stack.pop()
+            start, mono = stack.pop()
             count += 1
-            if deg == bound:
+            if mono.degree == bound:
                 continue
-            for idx in range(start, len(positions)):
-                p = positions[idx]
-                nxt = dict(expvec)
-                nxt[p] = nxt.get(p, 0) + 1
-                if not in_ideal(nxt):
-                    stack.append((idx, nxt, deg + 1))
+            for idx in range(start, len(steps)):
+                nxt = mono * steps[idx]
+                if not self.contains(nxt):
+                    stack.append((idx, nxt))
         return count
 
     # -- identity -------------------------------------------------------

@@ -209,6 +209,13 @@ def test_missing_file_exit_code(capsys):
     assert main(["gen", "--spec", "/nonexistent.chain", "--n", "3"]) == 1
 
 
+def test_unreadable_spec_path_exits_1(tmp_path, capsys):
+    assert main(["gen", "--spec", str(tmp_path), "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1

@@ -14,7 +14,7 @@ from incchains import (
     variable,
 )
 from conftest import make_mixed_chain
-from incchains import generate
+from incchains import generate, shift_sigma
 from incchains.monomial import inclusion_minimal
 from oracles import all_monomials, brute_inclusion_minimal, brute_minimal_generators
 from randgen import random_monomial, rng_for
@@ -63,6 +63,55 @@ def test_repeated_position_refused():
     with pytest.raises(ValueError, match=r"^repeated position \(2,3\)$"):
         Monomial(iter([((2, 3), 0), ((1, 1), 1), ((2, 3), 1)]))
     assert Monomial([((1, 2), 2), ((1, 1), 1)]) == Monomial({(1, 1): 1, (1, 2): 2})
+
+
+def test_outside_input_refused():
+    with pytest.raises(RowError, match=r"^row 0 out of range$"):
+        Monomial({(0, 1): 1})
+    with pytest.raises(WidthError, match=r"^column 0 out of range$"):
+        Monomial({(1, 0): 1})
+    with pytest.raises(ValueError, match=r"^negative exponent at \(1,1\)$"):
+        Monomial({(1, 1): -1})
+    with pytest.raises(RowError, match=r"^row 0 out of range$"):
+        variable(0, 1)
+    with pytest.raises(WidthError, match=r"^column 0 out of range$"):
+        variable(1, 2).apply_column_map({2: 0})
+    with pytest.raises(ValueError, match=r"^negative power$"):
+        variable(1, 2) ** -1
+    # zero exponents are skipped before any range check
+    assert Monomial({(0, 0): 0}) == Monomial()
+
+
+def _assert_canonical(result):
+    rebuilt = Monomial(dict(result.entries))
+    assert result.entries == rebuilt.entries
+    assert result.degree == rebuilt.degree
+    assert hash(result) == hash(rebuilt)
+    assert list(result.entries) == sorted(result.entries)
+    assert all(e > 0 for _, e in result.entries)
+
+
+def test_arithmetic_results_are_canonical():
+    saw_unit_quotient = saw_merge = 0
+    for k in range(200):
+        rng = rng_for("canonical-arithmetic", k)
+        rows, width = rng.randint(1, 3), rng.randint(1, 5)
+        u = random_monomial(rng, rows, width, 5, min_degree=0)
+        v = random_monomial(rng, rows, width, 5, min_degree=0)
+        g = u.gcd(v)
+        results = [u.lcm(v), u * v, g, u // g, u // u, (u * v) // v, u.squarefree()]
+        saw_unit_quotient += (u // g).is_unit
+        for i in (0, rng.randint(1, width), width + 1):
+            results.extend(u.split_at_column(i))
+        results.extend(u ** e for e in range(4))
+        a, b = sorted(rng.sample(range(1, width + 2), 2))
+        merged = u.apply_column_map({b: a})
+        saw_merge += len(merged.entries) < len(u.entries)
+        results.append(merged)
+        results.append(shift_sigma(rng.randint(0, width), u))
+        for result in results:
+            _assert_canonical(result)
+    assert saw_unit_quotient and saw_merge
 
 
 def test_divides_examples():
