@@ -105,18 +105,11 @@ class GammaReport:
         return frozenset(inclusion_minimal(self.cover_family))
 
 
-def _covers_all(rows_chosen, high_gens):
-    for g in high_gens:
-        if not any(r in rows_chosen for r in g.rows_used()):
-            return False
-    return True
-
-
 def _gamma_by_row_subsets(high_gens, rows):
     for size in range(rows + 1):
         for combo in itertools.combinations(range(1, rows + 1), size):
             chosen = frozenset(combo)
-            if _covers_all(chosen, high_gens):
+            if all(any(r in chosen for r in g.rows_used()) for g in high_gens):
                 return size, chosen
     raise AssertionError("the full row set always covers")
 
@@ -124,9 +117,10 @@ def _gamma_by_row_subsets(high_gens, rows):
 def gamma(ideal, i):
     """Cover number of a monomial ideal at column index i, with witnesses.
 
-    INFINITY for the unit ideal.  When the high part is small enough the
-    full cover family is derived from its minimal primes; otherwise only
-    the number and one witness are found by searching row subsets.
+    INFINITY for the unit ideal.  The number and its witness, the first
+    cover in order of size then sorted rows, come from a search over row
+    subsets; when the high part is small enough the full cover family is
+    also derived from its minimal primes.
     """
     if ideal.is_unit:
         return GammaReport(INFINITY, None, None, route="unit")
@@ -135,19 +129,17 @@ def gamma(ideal, i):
     part = partition_generators(ideal, i)
     if not part.high:
         return GammaReport(0, frozenset(), frozenset([frozenset()]), route="empty-high")
+    family = None
     if len(part.high) <= COVER_FAMILY_GENERATOR_CAP:
         try:
             plus = MonomialIdeal(ideal.rows, ideal.width, part.high)
             primes = minimal_primes(plus, limit=COVER_FAMILY_PRIME_CAP)
-            family = frozenset(
-                frozenset(row for row, _ in p) for p in primes
-            )
-            best = min(family, key=lambda c: (len(c), tuple(sorted(c))))
-            return GammaReport(len(best), best, family, route="min-primes")
+            family = frozenset(frozenset(row for row, _ in p) for p in primes)
         except CapacityError:
             pass
     size, witness = _gamma_by_row_subsets(part.high, ideal.rows)
-    return GammaReport(size, witness, None, route="row-subsets")
+    route = "row-subsets" if family is None else "min-primes"
+    return GammaReport(size, witness, family, route=route)
 
 
 def gamma_chain(spec):

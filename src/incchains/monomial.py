@@ -315,9 +315,6 @@ class MonomialIdeal:
             out.update(g.support())
         return sorted(out)
 
-    def supports(self):
-        return tuple(frozenset(g.support()) for g in self.gens)
-
     # -- membership and ideal operations --------------------------------
 
     def contains(self, mono):

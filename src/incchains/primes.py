@@ -4,7 +4,8 @@ A monomial prime is identified with its set of variables (a PrimeSupport,
 here a frozenset of (row, col) positions).  Minimal primes of a monomial
 ideal are exactly the inclusion-minimal sets of variables meeting the
 support of every generator, so everything reduces to hitting-set
-combinatorics on the generator supports.
+combinatorics on the generator supports: minimal primes by Berge's
+transversal rule, codimension by branch and bound.
 """
 
 from __future__ import annotations
@@ -21,41 +22,36 @@ PrimeSupport = frozenset
 
 
 def _minimal_supports(ideal):
-    """Inclusion-minimal distinct generator supports (the radical's supports)."""
+    """Inclusion-minimal distinct generator supports (the radical's), shortest first."""
     return inclusion_minimal({frozenset(g.support()) for g in ideal.gens})
 
 
 def minimal_primes(ideal, limit=None):
     """All minimal primes of a monomial ideal, as a frozenset of PrimeSupports.
 
-    The unit ideal has none.  The zero ideal yields the single empty
-    support, so that its codimension comes out as 0 without special cases.
-    ``limit`` optionally caps the number of primes kept at any level;
+    Berge's transversal rule: start from the empty set and take the
+    supports shortest first; members meeting a support are kept, every
+    other member is extended by each variable of the support, and the
+    result is reduced to its inclusion-minimal sets.  The unit ideal has
+    none; the zero ideal yields the single empty support, so that its
+    codimension comes out as 0 without special cases.  ``limit``
+    optionally caps the number of primes kept after each support;
     exceeding it raises CapacityError.
     """
     if ideal.is_unit:
         return frozenset()
-    memo = {}
-
-    def solve(supps):
-        if not supps:
-            return [frozenset()]
-        cached = memo.get(supps)
-        if cached is not None:
-            return cached
-        pivot = min(supps, key=lambda s: (len(s), tuple(sorted(s))))
-        found = set()
-        for v in sorted(pivot):
-            rest = frozenset(s for s in supps if v not in s)
-            for t in solve(rest):
-                found.add(t | {v})
-        result = inclusion_minimal(found)
-        if limit is not None and len(result) > limit:
+    primes = [frozenset()]
+    for s in _minimal_supports(ideal):
+        grown = set()
+        for p in primes:
+            if p & s:
+                grown.add(p)
+            else:
+                grown.update(p | {v} for v in s)
+        primes = inclusion_minimal(grown)
+        if limit is not None and len(primes) > limit:
             raise CapacityError(f"more than {limit} minimal primes")
-        memo[supps] = result
-        return result
-
-    return frozenset(solve(frozenset(_minimal_supports(ideal))))
+    return frozenset(primes)
 
 
 def _greedy_cover_size(supports):

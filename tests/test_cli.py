@@ -149,6 +149,13 @@ def test_verify_c1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_c1_inconclusive_under_a_low_gen_cap(capsys):
+    spec = str(ROOT / "demos" / "chains" / "onerow.chain")
+    argv = ["--gen-cap", "3", "verify", "--spec", spec, "--n", "2..8", "--theorem", "c1"]
+    assert main(argv) == 3
+    assert "note: some widths lack exact pd" in capsys.readouterr().out
+
+
 def test_verify_c1_wrong_rows(sample_file, capsys):
     assert main(["verify", "--spec", sample_file, "--n", "4..6", "--theorem", "c1"]) == 1
 

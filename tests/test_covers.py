@@ -4,6 +4,7 @@ import pytest
 
 from incchains import (
     INFINITY,
+    ChainSpec,
     Monomial,
     MonomialIdeal,
     UndefinedInvariantError,
@@ -19,6 +20,7 @@ from incchains import (
     variable,
     vm_bound,
 )
+from incchains.covers import VM_SUBSET_CAP
 from conftest import make_product_chain
 from oracles import brute_e_ideal, brute_e_set, brute_gamma, brute_minimal_covers
 from randgen import random_chain, random_proper_ideal, rng_for
@@ -91,6 +93,22 @@ def test_gamma_matches_bruteforce_random():
         assert report.gamma == brute_gamma(ideal, i), (k, str(ideal), i)
         if report.cover_family is not None and report.gamma > 0:
             assert report.minimal_covers == brute_minimal_covers(ideal, i)
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    [
+        # 33 high generators, past COVER_FAMILY_GENERATOR_CAP
+        MonomialIdeal(1, 34, [variable(1, j) for j in range(2, 35)]),
+        # 15 disjoint edges: 2**15 minimal primes, past COVER_FAMILY_PRIME_CAP
+        MonomialIdeal(2, 16, [variable(1, j) * variable(2, j) for j in range(2, 17)]),
+    ],
+    ids=["generator-cap", "prime-cap"],
+)
+def test_gamma_row_search_past_the_family_caps(ideal):
+    report = gamma(ideal, 1)
+    assert (report.gamma, report.witness_cover) == (1, frozenset({1}))
+    assert (report.cover_family, report.route) == (None, "row-subsets")
 
 
 def test_gamma_cover_properties_random():
@@ -318,3 +336,42 @@ def test_vm_bound_at_least_gamma():
         rng = rng_for("vm", k)
         spec = random_chain(rng, max_rows=3, max_seed_index=4, max_gens=4, max_degree=3)
         assert vm_bound(spec).slope >= gamma_chain(spec).gamma
+
+
+def test_vm_bound_truncated_past_the_subset_cap():
+    seed = MonomialIdeal(2, 18, [variable(1, 1) * variable(1 + j % 2, j) for j in range(2, 19)])
+    spec = ChainSpec(rows=2, index=1, seed_index=18, seed=seed)
+    mids = partition_generators(seed, 1).factorizations
+    assert len(mids) == 17 > VM_SUBSET_CAP
+    bound = vm_bound(spec)
+    assert not bound.complete
+    # the truncated search tries the empty set, the singletons and the full set
+    subsets = [()] + [(m,) for m in mids] + [tuple(mids)]
+    best = -1
+    for subset in subsets:
+        v = Monomial()
+        for _, low, _ in subset:
+            v = v * low
+        best = max(best, gamma_chain(chain_colon(spec, v)).gamma)
+    assert bound.slope == best == 2
+
+
+def test_vm_bound_skips_inadmissible_products():
+    seed = MonomialIdeal(
+        2,
+        3,
+        [
+            variable(1, 1, 2),
+            variable(1, 1) * variable(1, 3),
+            variable(1, 1) * variable(2, 3),
+            variable(2, 2) * variable(2, 3),
+        ],
+    )
+    spec = ChainSpec(rows=2, index=1, seed_index=3, seed=seed)
+    part = partition_generators(seed, 1)
+    assert len(part.straddling) == 2
+    # the pair's product x[1,1]^2 is a low generator; its colon would be the unit ideal
+    assert part.low == (variable(1, 1, 2),)
+    bound = vm_bound(spec)
+    assert bound.slope == 2 and bound.complete
+    assert len(bound.witness) == 1 and bound.witness <= set(part.straddling)

@@ -76,6 +76,28 @@ def test_minimal_primes_hit_and_are_minimal(ideal):
             assert not all(smaller & s for s in supports)
 
 
+def test_minimal_primes_match_bruteforce_on_random_hypergraphs():
+    for k in range(200):
+        rng = rng_for("berge", k)
+        nvars = rng.randint(6, 12)
+        supports = [
+            rng.sample(range(1, nvars + 1), rng.randint(2, 3))
+            for _ in range(rng.randint(8, 32))
+        ]
+        ideal = MonomialIdeal(1, nvars, [Monomial({(1, j): 1 for j in s}) for s in supports])
+        assert minimal_primes(ideal) == brute_minimal_primes(ideal), (k, str(ideal))
+
+
+def _disjoint_edges(top):
+    return MonomialIdeal(2, top, [variable(1, j) * variable(2, j) for j in range(2, top + 1)])
+
+
+def test_minimal_primes_limit():
+    with pytest.raises(CapacityError, match="more than 20000 minimal primes"):
+        minimal_primes(_disjoint_edges(16), limit=20000)
+    assert len(minimal_primes(_disjoint_edges(15), limit=20000)) == 2**14
+
+
 def test_codim_examples():
     assert codim(MonomialIdeal(2, 1, [Monomial()])) is INFINITY
     assert codim(MonomialIdeal(2, 1, [])) == 0
