@@ -159,6 +159,23 @@ def _saturation_exponent(ideal, mono):
         d += 1
 
 
+def _derived(spec):
+    """{proper derived chain: its first exponent tuple, in product order}."""
+    if not spec.is_proper_at_seed:
+        raise UndefinedInvariantError("e-set needs a chain proper at its seed")
+    col = spec.index + 1
+    base = generate(spec, spec.seed_index + 1)
+    caps = []
+    for k in range(1, spec.rows + 1):
+        caps.append(_saturation_exponent(base, Monomial({(k, col): 1})))
+    kept = {}
+    for evector in itertools.product(*(range(c + 1) for c in caps)):
+        derived = e_chain(spec, evector)
+        if not derived.seed.is_unit:
+            kept.setdefault(derived, evector)
+    return kept
+
+
 def e_set(spec):
     """Representative exponent tuples whose derived chain is proper.
 
@@ -167,37 +184,17 @@ def e_set(spec):
     tuples yielding duplicate ideals are dropped (first representative
     wins, in product order).
     """
-    if not spec.is_proper_at_seed:
-        raise UndefinedInvariantError("e-set needs a chain proper at its seed")
-    col = spec.index + 1
-    base = generate(spec, spec.seed_index + 1)
-    caps = []
-    for k in range(1, spec.rows + 1):
-        caps.append(_saturation_exponent(base, Monomial({(k, col): 1})))
-    seen = set()
-    out = []
-    for evector in itertools.product(*(range(c + 1) for c in caps)):
-        derived = e_chain(spec, evector).seed
-        if derived.is_unit:
-            continue
-        if derived in seen:
-            continue
-        seen.add(derived)
-        out.append(evector)
-    return tuple(out)
+    return tuple(_derived(spec).values())
 
 
 def _levels(spec, depth):
-    """Distinct derived chains at each depth, deduplicated by their seeds."""
-    level = {(spec.index, spec.seed_index, spec.seed): (spec, ())}
+    """Distinct derived chains at each depth, mapped to their exponent-tuple paths."""
+    level = {spec: ()}
     for _ in range(depth):
         nxt = {}
-        for s, path in level.values():
-            for evector in e_set(s):
-                t = e_chain(s, evector)
-                key = (t.index, t.seed_index, t.seed)
-                if key not in nxt:
-                    nxt[key] = (t, path + (evector,))
+        for s, path in level.items():
+            for t, evector in _derived(s).items():
+                nxt.setdefault(t, path + (evector,))
         level = nxt
         yield level
 
@@ -206,10 +203,9 @@ def gamma_max_level(spec, k):
     """Largest cover number among the depth-k derived chains."""
     if k < 1:
         raise ValueError("depth must be at least 1")
-    level = None
-    for level in itertools.islice(_levels(spec, k), k):
+    for level in _levels(spec, k):
         pass
-    return max(gamma_chain(t).gamma for t, _ in level.values())
+    return max(gamma_chain(t).gamma for t in level)
 
 
 @dataclass(frozen=True)
@@ -240,7 +236,7 @@ def gamma_limit(spec, depth_cap=None):
     for level in _levels(spec, depth_cap):
         level_best = -1
         level_path = ()
-        for t, path in level.values():
+        for t, path in level.items():
             g = gamma_chain(t).gamma
             if g > level_best:
                 level_best = g

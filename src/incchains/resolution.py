@@ -6,14 +6,14 @@ rank, in dimension p - 1, of the complex of generator subsets whose lcm
 strictly divides ``a`` (restricted to generators dividing ``a``).  That
 complex is a union of full simplices, one per variable of ``a``, which
 permits strong homotopy-preserving reductions before any linear algebra.
-The incidence is int bitmasks from the lcm closure to the faces, and one
-rule reduces both its sides: keep the distinct inclusion-minimal masks of
-the constraints (dropping redundant ones), then of the vertex memberships
-(folding dominated vertices away).  Cones are recognized outright.  By the
-nerve lemma the reduced core has the homology of its nerve, the constraint
-sets that leave some vertex uncovered, so homology is computed on
-whichever side, vertex or nerve, has the smaller face bound; the face cap
-counts the faces of that side.
+The incidence is int bitmasks from the lcm closure to the boundary matrix,
+and one rule reduces both its sides: keep the distinct inclusion-minimal
+masks of the constraints (dropping redundant ones), then of the vertex
+memberships (folding dominated vertices away).  Cones are recognized
+outright.  By the nerve lemma the reduced core has the homology of its
+nerve, the constraint sets that leave some vertex uncovered, so homology
+is computed on whichever side, vertex or nerve, has the smaller face
+bound; the face cap counts the faces of that side.
 
 Generators in disjoint variables resolve independently: the table of a
 disjoint union is the convolution of the component tables, and projective
@@ -184,7 +184,7 @@ def _faces_of_core(core):
     smaller face bound is enumerated, and the face cap applies to it.  The
     vertex side is the same enumeration on the dual relation (Dowker 1952):
     a vertex set is a face iff the constraints holding its vertices do not
-    cover every constraint; its faces are tuples of vertex positions.
+    cover every constraint.  Faces are bitmasks over the enumerated side.
     """
     nverts, constraints = core
     total = sum(1 << (nverts - c.bit_count()) for c in constraints)
@@ -197,21 +197,21 @@ def _faces_of_core(core):
 
 
 def _nerve_faces(nverts, masks):
-    """Index sets of ``masks`` whose union leaves one of ``nverts`` bits unset.
+    """Bitmask index sets of ``masks`` whose union leaves one of ``nverts`` bits unset.
 
-    Depth-first over a union bitmask: a branch stops as soon as its union
-    covers every vertex, since all its extensions cover them too.
+    Depth-first from the empty face 0, listed first: a branch stops once
+    its union covers every vertex, since all its extensions cover them too.
     """
     full = (1 << nverts) - 1
-    faces = [()]
-    stack = [((), 0, 0)]
+    faces = [0]
+    stack = [(0, 0, 0)]
     while stack:
         face, union, start = stack.pop()
         for i in range(start, len(masks)):
             u = union | masks[i]
             if u == full:
                 continue
-            sub = face + (i,)
+            sub = face | 1 << i
             faces.append(sub)
             if len(faces) > FACE_ENUMERATION_CAP:
                 raise CapacityError("reduced complex too large to enumerate")
@@ -220,31 +220,28 @@ def _nerve_faces(nverts, masks):
 
 
 def _reduced_betti(faces, char):
-    """Reduced homology ranks {dim: rank}, over Q (char 0) or F_char."""
-    by_dim = {}
+    """Reduced homology ranks {dim: rank} of bitmask faces over Q (char 0) or F_char."""
+    by_dim, position = {}, {}
     for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
-    for fs in by_dim.values():
-        fs.sort()
-    index = {
-        d: {f: i for i, f in enumerate(fs)} for d, fs in by_dim.items()
-    }
-    dims = sorted(by_dim)
+        fs = by_dim.setdefault(f.bit_count() - 1, [])
+        position[f] = len(fs)
+        fs.append(f)
     ranks = {}
-    for d in dims:
+    for d, fs in by_dim.items():
         if d - 1 not in by_dim:
-            ranks[d] = 0
             continue
-        target = index[d - 1]
-        rows = [dict() for _ in by_dim[d - 1]]
-        for j, f in enumerate(by_dim[d]):
-            for pos in range(len(f)):
-                sub = f[:pos] + f[pos + 1 :]
-                rows[target[sub]][j] = 1 if pos % 2 == 0 else -1
-        ranks[d] = rank_int_exact(rows, len(by_dim[d]), char)
+        rows = [{} for _ in by_dim[d - 1]]
+        for j, f in enumerate(fs):
+            rest, sign = f, 1
+            while rest:
+                low = rest & -rest
+                rows[position[f ^ low]][j] = sign
+                rest ^= low
+                sign = -sign
+        ranks[d] = rank_int_exact(rows, len(fs), char)
     out = {}
-    for d in dims:
-        betti = len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+    for d, fs in by_dim.items():
+        betti = len(fs) - ranks.get(d, 0) - ranks.get(d + 1, 0)
         if betti:
             out[d] = betti
     return out

@@ -20,7 +20,8 @@ from incchains import (
     variable,
     vm_bound,
 )
-from incchains.covers import VM_SUBSET_CAP
+from incchains.chainfile import parse_monomial
+from incchains.covers import VM_SUBSET_CAP, _levels
 from conftest import make_product_chain
 from oracles import brute_e_ideal, brute_e_set, brute_gamma, brute_minimal_covers
 from randgen import random_chain, random_proper_ideal, rng_for
@@ -252,6 +253,40 @@ def test_gamma_limit_single_orbit_single_row():
                 continue
             best = max(best, brute_gamma(second, spec.index + 2))
     assert best == 1
+
+
+DERIVED_PINS = [
+    # (c, i, r, seed generators), gamma_limit at depth 4 as (value, depth,
+    # level values, witness path), gamma_max_level at k = 1, 2, 3, and the
+    # distinct chains per level of _levels at depth 4
+    (
+        (3, 0, 3, "x[1,1]*x[1,2]*x[2,3]", "x[1,2]*x[1,3]*x[2,3]",
+         "x[1,3]*x[3,1]*x[3,2]", "x[1,3]*x[2,1]^2*x[2,2]"),
+        (2, 4, (1, 2, 2, 2), ((1, 0, 0), (1, 0, 0))),
+        (1, 2, 2),
+        [8, 16, 16, 16],
+    ),
+    (
+        (2, 0, 4, "x[1,2]*x[1,3]", "x[1,1]*x[1,4]^2", "x[1,2]*x[2,1]*x[2,4]",
+         "x[1,4]*x[2,1]*x[2,2]*x[2,3]"),
+        (2, 2, (1, 2), ((0, 1), (1, 0))),
+        (1, 2, 2),
+        [4, 10, 15, 15],
+    ),
+]
+
+
+@pytest.mark.parametrize("chain, limit, maxima, level_sizes", DERIVED_PINS)
+def test_derived_chain_outputs_are_pinned(chain, limit, maxima, level_sizes):
+    # the only witness paths longer than one step in the suite
+    rows, index, seed_index, *gens = chain
+    seed = MonomialIdeal(rows, seed_index, [parse_monomial(g) for g in gens])
+    spec = ChainSpec(rows=rows, index=index, seed_index=seed_index, seed=seed)
+    got = gamma_limit(spec, 4)
+    assert got.stabilized
+    assert (got.value, got.depth, got.level_values, got.witness_path) == limit
+    assert tuple(gamma_max_level(spec, k) for k in (1, 2, 3)) == maxima
+    assert [len(level) for level in _levels(spec, 4)] == level_sizes
 
 
 def _squarefree_chain(rng, **kwargs):

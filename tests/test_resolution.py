@@ -387,19 +387,20 @@ def test_pd_quotient_matches_full_table():
         assert pd_quotient(ideal) == betti(ideal).max_degree() + 1
 
 
+# facets of the 6-vertex triangulation of the real projective plane
+RP2_FACETS = {
+    (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+    (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
+}
+
+
 def test_characteristic_dependence_is_detected():
     # squarefree triples avoiding a 6-vertex projective-plane triangulation:
     # the quotient gains a syzygy over F_2, so pd depends on the field
-    import itertools
-
-    facets = {
-        (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
-    }
     gens = [
         Monomial({(1, a): 1 for a in t})
         for t in itertools.combinations(range(1, 7), 3)
-        if t not in facets
+        if t not in RP2_FACETS
     ]
     ideal = MonomialIdeal(1, 6, gens)
     for char, expected in ((0, 3), (2, 4), (32003, 3)):
@@ -463,11 +464,38 @@ def test_nerve_side_homology_matches_vertex_side():
     assert len(nerve_smaller) >= 25
     assert max(len(_as_sets(c)[0]) for c in nerve_smaller) >= 13
     for core in sorted(cores, key=repr):
-        vertex_faces = brute_core_faces(_as_sets(core))
+        vertex_faces = [sum(1 << v for v in f) for f in brute_core_faces(_as_sets(core))]
         for char in (0, 2, 32003):
             expected = _reduced_betti(vertex_faces, char)
             assert _reduced_betti(_nerve_faces(*core), char) == expected, (core, char)
             assert _reduced_betti(_faces_of_core(core), char) == expected, (core, char)
+
+
+def _closed_faces(facets):
+    """Every face of the given facets, as distinct bitmasks over vertices 1.."""
+    return list({
+        sum(1 << (v - 1) for v in face)
+        for facet in facets
+        for size in range(len(facet) + 1)
+        for face in itertools.combinations(facet, size)
+    })
+
+
+def test_reduced_betti_of_known_complexes():
+    # values from topology, not from the engine: RP^2 is acyclic over Q and
+    # over odd fields, with H_1 = H_2 = F_2 in char 2; the tetrahedron's
+    # boundary is a 2-sphere; the complex whose only face is the empty face
+    # has reduced H_{-1} of rank 1
+    rp2 = _closed_faces(RP2_FACETS)
+    assert len(rp2) == 32
+    for char in (0, 3, 32003):
+        assert _reduced_betti(rp2, char) == {}
+    assert _reduced_betti(rp2, 2) == {1: 1, 2: 1}
+    sphere = _closed_faces(itertools.combinations(range(1, 5), 3))
+    assert len(sphere) == 15
+    for char in (0, 2, 3, 32003):
+        assert _reduced_betti(sphere, char) == {2: 1}
+        assert _reduced_betti([0], char) == {-1: 1}
 
 
 def _subset_ideal(ngens, size):
